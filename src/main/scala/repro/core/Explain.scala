@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.{Await, Future}
 import scala.concurrent.duration.Duration
 
 /** Tunables for the explanation generation of Algorithm 1.
@@ -83,42 +83,43 @@ object Fedex {
   }
 
   def explain(step: Step, cfg: FedexConfig = FedexConfig()): FedexResult = {
-    // Lines 1-2 (+ sampling optimization): per-column interestingness.
-    val attrs = cfg.userColumns.getOrElse {
-      val excluded = excludedAttrs(step)
-      step.outputAttrs.filterNot(excluded)
-    }
-    val columnScores =
-      Interestingness.scores(step, attrs, cfg.maxBins, cfg.sampleRows, cfg.seed)
-    val topCols = columnScores.toSeq.sortBy { case (a, s) => (-s, a) }
-      .take(cfg.topKColumns).map(_._1)
-
-    // Lines 3-6: row partitions per target attribute (shared across columns).
-    val targets: Seq[(Int, String)] =
-      if (cfg.crossColumns) topCols.flatMap(partitionTargets(step, _)).distinct
-      else topCols.flatMap(partitionTargets(step, _)).distinct
-    val partitionsByTarget: Map[(Int, String), Seq[RowPartition]] =
-      targets.map { case (idx, pattr) =>
-        val parts =
-          Partition.candidatesMulti(step.inputs(idx), pattr, cfg.nSets, cfg.enableManyToOne)
-        // identical partitions (e.g. n=5 and n=10 over a 3-value column) dedupe
-        val distinctParts = parts
-          .groupBy(p => (p.method, p.labelAttr, p.sets)).values.map(_.head).toSeq
-        (idx, pattr) -> distinctParts
-      }.toMap
-
     val measure = if (step.op.kind == "groupby") "diversity" else "exceptionality"
 
-    // Lines 7-12: contributions for each (partition, column) pair.
-    val pairs: Seq[(String, Int, RowPartition)] = topCols.flatMap { a =>
-      val ts = if (cfg.crossColumns) targets else partitionTargets(step, a)
-      ts.flatMap { case (idx, pattr) =>
-        partitionsByTarget.getOrElse((idx, pattr), Seq.empty).map(p => (a, idx, p))
+    // Everything below runs on one pool as composed futures, so no pool
+    // thread waits on another: each input's profile (for many-to-one mining)
+    // while the columns are scored, then each target's partitions, then the
+    // contribution of each (column, partition) pair as soon as its target is
+    // built.
+    val (columnScores, scored) = Scoring.withPool { implicit ec =>
+      val profiles: Map[Int, Future[Option[Partition.Profile]]] =
+        step.outputAttrs.flatMap(partitionTargets(step, _)).map(_._1).distinct.map { idx =>
+          idx -> (if (cfg.enableManyToOne) Future(Some(Partition.profile(step.inputs(idx))))
+                  else Future.successful(None))
+        }.toMap
+
+      // Lines 1-2 (+ sampling optimization): per-column interestingness.
+      val attrs = cfg.userColumns.getOrElse {
+        val excluded = excludedAttrs(step)
+        step.outputAttrs.filterNot(excluded)
       }
-    }.distinct
-    implicit val ec: ExecutionContext = Scoring.pool
-    val futures = pairs.map { case (a, idx, p) =>
-      Future {
+      val columnScores =
+        Interestingness.scores(step, attrs, cfg.maxBins, cfg.sampleRows, cfg.seed)
+      val topCols = columnScores.toSeq.sortBy { case (a, s) => (-s, a) }
+        .take(cfg.topKColumns).map(_._1)
+
+      // Lines 3-6: row partitions per target attribute (shared across columns).
+      val targets: Seq[(Int, String)] = topCols.flatMap(partitionTargets(step, _)).distinct
+      val partitionsByTarget: Map[(Int, String), Future[Seq[RowPartition]]] =
+        targets.map { case (idx, pattr) =>
+          (idx, pattr) -> profiles(idx).map { prof =>
+            val parts = Partition.candidatesMulti(step.inputs(idx), pattr, cfg.nSets, prof)
+            // identical partitions (e.g. n=5 and n=10 over a 3-value column) dedupe
+            parts.groupBy(p => (p.method, p.labelAttr, p.sets)).values.map(_.head).toSeq
+          }
+        }.toMap
+
+      // Lines 7-12: contributions for each (partition, column) pair.
+      def contributions(a: String, idx: Int, p: RowPartition): Seq[ExplanationCandidate] =
         Contribution.all(step, a, p, idx, cfg.maxBins).toSeq.flatMap { res =>
           val std = res.standardized
           res.perSet.toSeq.collect {
@@ -131,10 +132,17 @@ object Fedex {
                 stats = res.stats.getOrElse(set, SetStats()))
           }
         }
+      val pairs = Future.traverse(topCols.flatMap { a =>
+        (if (cfg.crossColumns) targets else partitionTargets(step, a)).map(a -> _)
+      }) { case (a, (idx, pattr)) =>
+        partitionsByTarget(idx -> pattr).flatMap { parts =>
+          Future.traverse(parts)(p => Future((a, p, contributions(a, idx, p))))
+        }
       }
+      (columnScores, Await.result(pairs, Duration.Inf).flatten)
     }
-    val partitionOf = pairs.map { case (a, _, p) => (a, p.method, p.labelAttr) -> p }.toMap
-    val candidates  = Await.result(Future.sequence(futures), Duration.Inf).flatten
+    val partitionOf = scored.map { case (a, p, _) => (a, p.method, p.labelAttr) -> p }.toMap
+    val candidates  = scored.flatMap(_._3)
 
     // Line 13: the interestingness/contribution skyline.
     val sky = Skyline.of(candidates)(_.interestingness, _.stdContribution)

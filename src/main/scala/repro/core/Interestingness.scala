@@ -2,6 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import java.util.concurrent.{Executors, ThreadFactory}
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 
 /** Uniform row sampling used by FEDEX-SAMPLING (§3.7 "Sampling optimization"):
   * interestingness is computed over a uniform sample of the input rows; all
@@ -36,8 +39,8 @@ object Interestingness {
     scoreAgainst(step, step.inputs, step.output, attr, maxBins)
 
   /** As `score`, but over explicitly supplied (possibly sampled) input and
-    * output dataframes. `statsInputs` (the full inputs) decide the KS key
-    * space so sampled and exact runs bucketise identically.
+    * output dataframes. The KS key space comes from `ins`, so a sampled run
+    * bucketises on the sample, not on the full inputs.
     */
   def scoreAgainst(step: Step, ins: Seq[DataFrame], out: DataFrame, attr: String,
                    maxBins: Int): Option[Double] = {
@@ -72,21 +75,30 @@ object Interestingness {
         val o       = step.reapply(sampled).cache()
         (sampled, o)
     }
-    import scala.concurrent.{Await, ExecutionContext, Future}
-    import scala.concurrent.duration.Duration
-    implicit val ec: ExecutionContext = Scoring.pool
-    val futures = attrs.map(a => Future(a -> scoreAgainst(step, ins, out, a, maxBins)))
-    val res = Await.result(Future.sequence(futures), Duration.Inf)
-      .collect { case (a, Some(s)) => a -> s }.toMap
+    val res = Scoring.withPool { implicit ec =>
+      val futures = attrs.map(a => Future(a -> scoreAgainst(step, ins, out, a, maxBins)))
+      Await.result(Future.sequence(futures), Duration.Inf)
+    }.collect { case (a, Some(s)) => a -> s }.toMap
     if (sampleRows.isDefined) { ins.foreach(_.unpersist()); out.unpersist() }
     res
   }
 }
 
-/** Shared bounded thread pool for concurrent per-column scoring jobs. */
+/** Bounded thread pools for concurrent Spark jobs (per-column scoring,
+  * partition building, contribution pairs). Each call gets its own pool of
+  * daemon threads, shut down when the call returns, so no thread outlives the
+  * explain that started it and a finished program exits on its own.
+  */
 private[core] object Scoring {
-  import java.util.concurrent.Executors
-  import scala.concurrent.ExecutionContext
-  lazy val pool: ExecutionContext =
-    ExecutionContext.fromExecutorService(Executors.newFixedThreadPool(8))
+  val Threads = 8
+
+  def withPool[T](body: ExecutionContext => T): T = {
+    val daemons = new ThreadFactory {
+      private val default = Executors.defaultThreadFactory()
+      def newThread(r: Runnable): Thread = { val t = default.newThread(r); t.setDaemon(true); t }
+    }
+    val pool = Executors.newFixedThreadPool(Threads, daemons)
+    try body(ExecutionContext.fromExecutorService(pool))
+    finally pool.shutdown()
+  }
 }

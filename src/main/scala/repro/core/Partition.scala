@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** A materialised row partition (paper Def. 3.8): the input dataframe plus a
@@ -22,27 +23,71 @@ final case class RowPartition(method: String, attr: String, via: Option[String],
 /** The three partition methods of §3.5. All run as Spark aggregations to find
   * the set labels, then label rows with a plain column expression, so the
   * labelled dataframe stays lazy and re-usable across contribution passes.
+  *
+  * `candidatesMulti` computes each quantity once for all set counts: one
+  * top-k query covers A and every mined B, and one quantile pass covers every
+  * numeric bin count. A column profile (approximate distinct counts) can be
+  * shared by all targets on the same input.
   */
 object Partition {
 
   /** Name of the synthetic label column added to partitioned inputs. */
   val LabelCol = "__fedex_set"
 
+  /** Many-to-one label attributes B may have at most this many values. */
+  private val MaxLabelValues = 1000L
+
+  /** Approximate distinct count of every column of an input. */
+  private[core] type Profile = Map[String, Long]
+
+  /** The input's profile, in one aggregation: what the many-to-one
+    * pre-filter reads for every target on this input.
+    */
+  private[core] def profile(df: DataFrame): Profile = {
+    val cols = df.columns.filterNot(_ == LabelCol).toSeq
+    if (cols.isEmpty) Map.empty
+    else {
+      val row = df.select(cols.map(c => approx_count_distinct(col(c))): _*).head()
+      cols.zipWithIndex.map { case (c, i) => c -> row.getLong(i) }.toMap
+    }
+  }
+
   /** Frequency-based partition: one set per top-`n` most frequent value of
     * `attr`; remaining rows (and nulls) fall into the ignore-set.
     */
   def frequency(df: DataFrame, attr: String, n: Int): RowPartition = {
     require(n >= 1, "need at least one set")
-    val top = df.where(col(attr).isNotNull)
-      .groupBy(col(attr).cast("string").as("__v")).count()
-      .orderBy(desc("count"), asc("__v"))
-      .limit(n).collect().map(_.getString(0)).toSeq
+    byValues("frequency", df, attr, None, topValues(df, Seq(attr), n)(attr))
+  }
+
+  /** The `k` most frequent non-null values (as strings) of each of `attrs`,
+    * ordered by (count desc, value asc). The order is total, so the top `n`
+    * for any n ≤ k is a prefix. One aggregation covers every attribute.
+    */
+  private def topValues(df: DataFrame, attrs: Seq[String], k: Int): Map[String, Seq[String]] = {
+    val tagged = attrs.zipWithIndex.map { case (a, i) =>
+      struct(lit(i).as("i"), col(a).cast("string").as("v"))
+    }
+    val rank = Window.partitionBy("i").orderBy(desc("count"), asc("v"))
+    val rows = df.select(explode(array(tagged: _*)).as("t"))
+      .select("t.i", "t.v").where(col("v").isNotNull)
+      .groupBy("i", "v").count()
+      .withColumn("r", row_number().over(rank)).where(col("r") <= k)
+      .collect()
+    val top = rows.groupBy(_.getInt(0))
+    attrs.zipWithIndex.map { case (a, i) =>
+      a -> top.getOrElse(i, Array.empty).sortBy(_.getInt(3)).map(_.getString(1)).toSeq
+    }.toMap
+  }
+
+  /** Partition labelling each row whose `labelAttr` value is one of `sets`. */
+  private def byValues(method: String, df: DataFrame, attr: String, via: Option[String],
+                       sets: Seq[String]): RowPartition = {
+    val v = col(via.getOrElse(attr)).cast("string")
     val labelled =
-      if (top.isEmpty) df.withColumn(LabelCol, lit(null).cast("string"))
-      else df.withColumn(
-        LabelCol,
-        when(col(attr).cast("string").isin(top: _*), col(attr).cast("string")))
-    RowPartition("frequency", attr, None, labelled, top)
+      if (sets.isEmpty) df.withColumn(LabelCol, lit(null).cast("string"))
+      else df.withColumn(LabelCol, when(v.isin(sets: _*), v))
+    RowPartition(method, attr, via, labelled, sets)
   }
 
   /** Numeric equal-frequency binning: `n` sets covering value intervals of
@@ -50,30 +95,45 @@ object Partition {
     * empty apart from null values. Skewed columns may collapse to fewer bins
     * when quantile boundaries coincide.
     */
-  def numericBins(df: DataFrame, attr: String, n: Int): RowPartition = {
-    require(n >= 1, "need at least one bin")
+  def numericBins(df: DataFrame, attr: String, n: Int): RowPartition =
+    numericBinsMulti(df, attr, Seq(n)).head
+
+  /** `numericBins` for every count in `ns`, from one aggregation: min, max
+    * and `approx_percentile` over the union of every n's probabilities, with
+    * the accuracy `approxQuantile` uses for a relative error of 0.001 (it
+    * runs the same aggregate). A quantile does not depend on which other
+    * probabilities are asked with it, and equal fractions k/n are the same
+    * double, so each n gets the bounds it would get alone.
+    */
+  private def numericBinsMulti(df: DataFrame, attr: String, ns: Seq[Int]): Seq[RowPartition] = {
+    require(ns.forall(_ >= 1), "need at least one bin")
     require(Ks.isNumeric(df, attr), s"numeric partition needs a numeric column, got $attr")
-    val probs  = (1 until n).map(_.toDouble / n).toArray
-    val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
-    val bounds =
-      if (probs.isEmpty) Array.empty[Double]
-      else named.stat.approxQuantile("__v", probs, 0.001).distinct.sorted
-    val ext = named.agg(min("__v"), max("__v")).head()
-    if (ext.isNullAt(0)) // all-null column: single empty partition
-      return RowPartition("numeric", attr, None,
-        df.withColumn(LabelCol, lit(null).cast("string")), Seq.empty)
-    val lo = ext.getDouble(0); val hi = ext.getDouble(1)
-    val edges = (lo +: bounds.toSeq :+ hi).distinct.sorted
-    val labels =
-      if (edges.size < 2) Seq(f"[$lo%.4g, $hi%.4g]")
-      else edges.sliding(2).map(w => f"[${w.head}%.4g, ${w.last}%.4g]").toSeq
-    val inner = edges.slice(1, edges.size - 1) // cut points between bins
-    val v     = col(attr).cast("double")
-    val expr0 = inner.zipWithIndex.foldLeft(when(v.isNull, lit(null).cast("string"))) {
-      case (acc, (cut, i)) => acc.when(v <= cut, lit(labels(i)))
+    val probsOf  = ns.map(n => (1 until n).map(_.toDouble / n))
+    val allProbs = probsOf.flatten.distinct
+    val named = df.select(col(attr).cast("double").as("__v")).na.drop()
+    val quantiles =
+      if (allProbs.isEmpty) Seq.empty
+      else Seq(approx_percentile(col("__v"), lit(allProbs.toArray), lit(1000)))
+    val stats = named.agg(min("__v"), max("__v") +: quantiles: _*).head()
+    if (stats.isNullAt(0)) // all-null column: single empty partition
+      return ns.map(_ => RowPartition("numeric", attr, None,
+        df.withColumn(LabelCol, lit(null).cast("string")), Seq.empty))
+    val lo = stats.getDouble(0); val hi = stats.getDouble(1)
+    val quantile = if (allProbs.isEmpty) Map.empty[Double, Double]
+                   else allProbs.zip(stats.getSeq[Double](2)).toMap
+    probsOf.map { probs =>
+      val bounds = probs.map(quantile).distinct.sorted
+      val edges  = (lo +: bounds :+ hi).distinct.sorted
+      val labels =
+        if (edges.size < 2) Seq(f"[$lo%.4g, $hi%.4g]")
+        else edges.sliding(2).map(w => f"[${w.head}%.4g, ${w.last}%.4g]").toSeq
+      val inner = edges.slice(1, edges.size - 1) // cut points between bins
+      val v     = col(attr).cast("double")
+      val expr0 = inner.zipWithIndex.foldLeft(when(v.isNull, lit(null).cast("string"))) {
+        case (acc, (cut, i)) => acc.when(v <= cut, lit(labels(i)))
+      }
+      RowPartition("numeric", attr, None, df.withColumn(LabelCol, expr0.otherwise(lit(labels.last))), labels)
     }
-    val labelled = df.withColumn(LabelCol, expr0.otherwise(lit(labels.last)))
-    RowPartition("numeric", attr, None, labelled, labels)
   }
 
   /** Mine columns B with a many-to-one relationship from `attr` (§3.5):
@@ -82,63 +142,60 @@ object Partition {
     * values so the resulting explanation stays readable; FD checks for all
     * candidates run in a single aggregation pass.
     */
-  def manyToOneTargets(df: DataFrame, attr: String, maxLabelValues: Long = 1000): Seq[String] = {
-    val others = df.columns.filterNot(c => c == attr || c == LabelCol).toSeq
-    if (others.isEmpty) return Seq.empty
-    val cards = df.agg(
-      approx_count_distinct(col(attr)).as(attr),
-      others.map(c => approx_count_distinct(col(c)).as(c)): _*
-    ).head()
-    val cardA = cards.getLong(0)
-    val pre = others.zipWithIndex.collect {
-      case (c, i) if cards.getLong(i + 1) > 1 &&
-        cards.getLong(i + 1) < cardA && cards.getLong(i + 1) <= maxLabelValues => c
+  def manyToOneTargets(df: DataFrame, attr: String,
+                       maxLabelValues: Long = MaxLabelValues): Seq[String] =
+    manyToOneTargets(df, attr, profile(df), maxLabelValues)
+
+  private def manyToOneTargets(df: DataFrame, attr: String, prof: Profile,
+                               maxLabelValues: Long): Seq[String] = {
+    val cardA = prof(attr)
+    val pre = df.columns.toSeq.filter { c =>
+      c != attr && c != LabelCol && prof(c) > 1 && prof(c) < cardA && prof(c) <= maxLabelValues
     }
-    if (pre.isEmpty) return Seq.empty
-    // Condition 1 (FD A -> B) for all surviving candidates in one pass.
-    val fd = df.where(col(attr).isNotNull)
-      .groupBy(col(attr))
-      .agg(countDistinct(col(pre.head)).as(pre.head),
-           pre.tail.map(c => countDistinct(col(c)).as(c)): _*)
-      .agg(max(col(pre.head)).as(pre.head), pre.tail.map(c => max(col(c)).as(c)): _*)
-      .head()
-    pre.zipWithIndex.collect { case (c, i) if fd.getLong(i) <= 1 => c }
+    functionallyDetermined(df, attr, pre)
   }
 
-  /** Many-to-one partitions for `attr`: frequency partitions over each mined
-    * coarser attribute B.
+  /** The columns of `bs` that `attr` functionally determines: within every
+    * non-null group of `attr`, at most one distinct non-null value. Both
+    * `min` and `max` ignore nulls, so `min(B) <=> max(B)` holds exactly when
+    * `countDistinct(B) ≤ 1`; one `groupBy(attr)` pass tests every B.
     */
-  def manyToOne(df: DataFrame, attr: String, n: Int, maxLabelValues: Long = 1000): Seq[RowPartition] =
-    manyToOneTargets(df, attr, maxLabelValues).map { b =>
-      val p = frequency(df, b, n)
-      RowPartition("many-to-one", attr, Some(b), p.labeled, p.sets)
+  private[core] def functionallyDetermined(df: DataFrame, attr: String, bs: Seq[String]): Seq[String] =
+    if (bs.isEmpty) Seq.empty
+    else {
+      val flags = bs.indices.map(i => s"__fd$i")
+      val perGroup = bs.zip(flags).map { case (b, f) => (min(col(b)) <=> max(col(b))).as(f) }
+      val all = df.where(col(attr).isNotNull).groupBy(col(attr))
+        .agg(perGroup.head, perGroup.tail: _*)
+        .select(flags.map(f => min(f)): _*)
+        .head()
+      bs.zipWithIndex.collect { case (b, i) if all.isNullAt(i) || all.getBoolean(i) => b }
     }
 
-  /** All applicable partitions of `df` for explaining via `attr` with `n`
-    * sets: frequency, numeric binning (numeric columns whose cardinality
-    * exceeds `n` — below that, frequency already enumerates the values), and
-    * many-to-one.
-    */
-  def candidates(df: DataFrame, attr: String, n: Int,
-                 enableManyToOne: Boolean = true): Seq[RowPartition] =
-    candidatesMulti(df, attr, Seq(n), enableManyToOne)
-
-  /** As `candidates` for several set counts at once; the (expensive)
-    * many-to-one FD mining runs a single time and is shared across all `ns`.
+  /** All applicable partitions of `df` for explaining via `attr`, for each
+    * set count in `ns`: frequency, numeric binning (numeric columns whose
+    * cardinality reaches n — below that, frequency already enumerates the
+    * values), and many-to-one over each mined coarser attribute B.
     */
   def candidatesMulti(df: DataFrame, attr: String, ns: Seq[Int],
-                      enableManyToOne: Boolean = true): Seq[RowPartition] = {
-    val m2oTargets = if (enableManyToOne) manyToOneTargets(df, attr) else Seq.empty
+                      enableManyToOne: Boolean = true): Seq[RowPartition] =
+    candidatesMulti(df, attr, ns, if (enableManyToOne) Some(profile(df)) else None)
+
+  /** `candidatesMulti` with the input's profile supplied by the caller (None
+    * disables many-to-one), so targets on one input share it.
+    */
+  private[core] def candidatesMulti(df: DataFrame, attr: String, ns: Seq[Int],
+                                    prof: Option[Profile]): Seq[RowPartition] = {
+    require(ns.forall(_ >= 1), "need at least one set")
+    if (ns.isEmpty) return Seq.empty
+    val bs  = prof.fold(Seq.empty[String])(manyToOneTargets(df, attr, _, MaxLabelValues))
+    val top = topValues(df, attr +: bs, ns.max)
+    val binned = ns.filter(n => Ks.isNumeric(df, attr) && top(attr).size >= n)
+    val numeric = if (binned.isEmpty) Map.empty[Int, RowPartition]
+                  else binned.zip(numericBinsMulti(df, attr, binned)).toMap
     ns.flatMap { n =>
-      val freq = frequency(df, attr, n)
-      val numeric =
-        if (Ks.isNumeric(df, attr) && freq.sets.size >= n) Seq(numericBins(df, attr, n))
-        else Seq.empty
-      val m2o = m2oTargets.map { b =>
-        val p = frequency(df, b, n)
-        RowPartition("many-to-one", attr, Some(b), p.labeled, p.sets)
-      }
-      freq +: (numeric ++ m2o)
+      byValues("frequency", df, attr, None, top(attr).take(n)) +:
+        (numeric.get(n).toSeq ++ bs.map(b => byValues("many-to-one", df, attr, Some(b), top(b).take(n))))
     }
   }
 }

@@ -8,7 +8,8 @@ class CaptionSpec extends SparkSpec {
   private lazy val df = Seq(("1991", "1990s"), ("1992", "1990s"), ("2001", "2000s"))
     .toDF("year", "decade")
   private lazy val freqP = Partition.frequency(df, "decade", 2)
-  private lazy val m2oP  = Partition.manyToOne(df, "year", 2).head
+  private lazy val m2oP  =
+    Partition.candidatesMulti(df, "year", Seq(2)).find(_.method == "many-to-one").get
 
   test("exceptionality caption carries shares, ratio, attribute and set") {
     val c = Caption.render("exceptionality", "decade", freqP, "2010s", 0.56, 1.69,

@@ -2,6 +2,13 @@ package repro.core
 
 import repro.SparkSpec
 import org.apache.spark.sql.functions._
+import java.io.File
+import java.lang.management.ManagementFactory
+import java.nio.file.{Files, Paths}
+import java.util.concurrent.TimeUnit
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
+import scala.jdk.CollectionConverters._
 
 class ExplainSpec extends SparkSpec {
   import spark.implicits._
@@ -145,5 +152,37 @@ class ExplainSpec extends SparkSpec {
     val pattrs = res.candidates.map(_.partitionAttr).distinct
     assert(pattrs.nonEmpty)
     assert(pattrs.forall(Seq("decade", "noise").contains))
+  }
+
+  test("more partition targets than pool threads: explain completes with the same skyline") {
+    // nine string keys -> nine targets; only the mean is scored, so topKColumns
+    // does not change which columns are explained
+    val keys = (1 to 9).map(k => s"k$k")
+    val df = (1 to 240).map { i =>
+      (keys.indices.map(k => s"v${(i / (k + 1)) % 3}"), (if (i % 5 == 0) 40.0 else 10.0) + i % 7)
+    }.toDF("ks", "m").select(keys.indices.map(k => col("ks")(k).as(keys(k))) :+ col("m"): _*)
+    val step = Step(Seq(df), GroupByOp(keys, Seq(AggSpec("mean", "m", "mean_m"))))
+    val cfg  = fastCfg.copy(topKColumns = 9)
+    val wide = Await.result(Future(Fedex.explain(step, cfg))(ExecutionContext.global), 5.minutes)
+    val base = Fedex.explain(step, cfg.copy(topKColumns = FedexConfig().topKColumns))
+    assert(wide.skyline.nonEmpty)
+    assert(wide.skyline.map(_.candidate.key) === base.skyline.map(_.candidate.key))
+  }
+
+  test("a JVM that runs one explain exits on its own") {
+    val java  = Paths.get(sys.props("java.home"), "bin", "java").toString
+    val opens = ManagementFactory.getRuntimeMXBean.getInputArguments.asScala
+      .filter(_.startsWith("--add-opens")).toSeq
+    val log   = File.createTempFile("one-explain", ".log")
+    val proc  = new ProcessBuilder((Seq(java, "-Xmx1g") ++ opens ++
+        Seq("-cp", sys.props("java.class.path"), "repro.core.OneExplain")).asJava)
+      .redirectErrorStream(true).redirectOutput(log).start()
+    val exited = proc.waitFor(3, TimeUnit.MINUTES)
+    if (!exited) proc.destroyForcibly().waitFor()
+    val out = new String(Files.readAllBytes(log.toPath)).linesIterator.toSeq
+    log.delete()
+    assert(exited, "the JVM was still running 3 minutes after start:\n" + out.takeRight(20).mkString("\n"))
+    assert(proc.exitValue === 0, out.takeRight(20).mkString("\n"))
+    assert(out.exists(_.startsWith("skyline=")))
   }
 }

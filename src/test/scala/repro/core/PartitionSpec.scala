@@ -1,9 +1,11 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{PropChecks, SparkSpec}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop}
 
-class PartitionSpec extends SparkSpec {
+class PartitionSpec extends SparkSpec with PropChecks {
   import spark.implicits._
 
   // years repeat with conflicting genres so year→genre is NOT functional
@@ -139,8 +141,11 @@ class PartitionSpec extends SparkSpec {
     assert(!Partition.manyToOneTargets(songs, "year", maxLabelValues = 2).contains("decade"))
   }
 
+  private def manyToOne(df: DataFrame, attr: String, n: Int): Seq[RowPartition] =
+    Partition.candidatesMulti(df, attr, Seq(n)).filter(_.method == "many-to-one")
+
   test("manyToOne: partition labels come from the coarser column B") {
-    val ps = Partition.manyToOne(songs, "year", 5)
+    val ps = manyToOne(songs, "year", 5)
     val byDecade = ps.find(_.via.contains("decade"))
     assert(byDecade.isDefined)
     assert(byDecade.get.sets.toSet === Set("1990s", "2000s", "2010s"))
@@ -149,7 +154,7 @@ class PartitionSpec extends SparkSpec {
   }
 
   test("manyToOne partition still respects Def 3.8 (disjoint cover)") {
-    val p   = Partition.manyToOne(songs, "year", 5).find(_.via.contains("decade")).get
+    val p   = manyToOne(songs, "year", 5).find(_.via.contains("decade")).get
     val tot = p.labeled.count()
     val perSet = p.sets.map(s => p.labeled.where(col(Partition.LabelCol) === s).count()).sum
     assert(perSet === tot)
@@ -158,27 +163,140 @@ class PartitionSpec extends SparkSpec {
   // --------------------------------------------------------------- bundling
 
   test("candidates: always includes the frequency partition") {
-    val cs = Partition.candidates(songs, "decade", 2)
+    val cs = Partition.candidatesMulti(songs, "decade", Seq(2))
     assert(cs.exists(_.method === "frequency"))
   }
 
   test("candidates: numeric binning added for numeric columns with enough distinct values") {
-    val cs = Partition.candidates(songs, "year", 3)
+    val cs = Partition.candidatesMulti(songs, "year", Seq(3))
     assert(cs.exists(_.method === "numeric"))
   }
 
   test("candidates: numeric binning skipped when frequency already enumerates the domain") {
-    val cs = Partition.candidates(songs, "year", 50)
+    val cs = Partition.candidatesMulti(songs, "year", Seq(50))
     assert(!cs.exists(_.method === "numeric"))
   }
 
   test("candidates: many-to-one can be disabled") {
-    val cs = Partition.candidates(songs, "year", 3, enableManyToOne = false)
+    val cs = Partition.candidatesMulti(songs, "year", Seq(3), enableManyToOne = false)
     assert(!cs.exists(_.method === "many-to-one"))
   }
 
   test("candidates: many-to-one included when present") {
-    val cs = Partition.candidates(songs, "year", 3)
+    val cs = Partition.candidatesMulti(songs, "year", Seq(3))
     assert(cs.exists(p => p.method === "many-to-one" && p.via.contains("decade")))
+  }
+
+  // ------------------------------------------- shared queries vs per-n reference
+
+  /** Reference top-n values: one query per attribute and n. */
+  private def refTop(df: DataFrame, attr: String, n: Int): Seq[String] =
+    df.where(col(attr).isNotNull)
+      .groupBy(col(attr).cast("string").as("__v")).count()
+      .orderBy(desc("count"), asc("__v"))
+      .limit(n).collect().map(_.getString(0)).toSeq
+
+  /** Reference numeric bin labels: a quantile pass for this n alone. */
+  private def refBins(df: DataFrame, attr: String, n: Int): Seq[String] = {
+    val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
+    val probs  = (1 until n).map(_.toDouble / n).toArray
+    val bounds = if (probs.isEmpty) Array.empty[Double]
+                 else named.stat.approxQuantile("__v", probs, 0.001).distinct.sorted
+    val ext = named.agg(min("__v"), max("__v")).head()
+    if (ext.isNullAt(0)) Seq.empty
+    else {
+      val lo = ext.getDouble(0); val hi = ext.getDouble(1)
+      val edges = (lo +: bounds.toSeq :+ hi).distinct.sorted
+      if (edges.size < 2) Seq(f"[$lo%.4g, $hi%.4g]")
+      else edges.sliding(2).map(w => f"[${w.head}%.4g, ${w.last}%.4g]").toSeq
+    }
+  }
+
+  /** Reference FD test: collect countDistinct(B) for every group of A. */
+  private def refDetermined(df: DataFrame, attr: String, bs: Seq[String]): Seq[String] =
+    bs.filter { b =>
+      df.where(col(attr).isNotNull).groupBy(col(attr)).agg(countDistinct(col(b)))
+        .collect().forall(_.getLong(1) <= 1)
+    }
+
+  /** Per-n reference for `candidatesMulti`: the public per-n functions plus
+    * `frequency(B)` for each mined B.
+    */
+  private def perN(df: DataFrame, attr: String, ns: Seq[Int]): Seq[RowPartition] = {
+    val bs = Partition.manyToOneTargets(df, attr)
+    ns.flatMap { n =>
+      val freq = Partition.frequency(df, attr, n)
+      val numeric =
+        if (Ks.isNumeric(df, attr) && freq.sets.size >= n) Seq(Partition.numericBins(df, attr, n))
+        else Seq.empty
+      freq +: (numeric ++ bs.map { b =>
+        val p = Partition.frequency(df, b, n)
+        RowPartition("many-to-one", attr, Some(b), p.labeled, p.sets)
+      })
+    }
+  }
+
+  private def samePartitions(a: Seq[RowPartition], b: Seq[RowPartition]): Boolean =
+    a.size == b.size && a.zip(b).forall { case (x, y) =>
+      (x.method, x.attr, x.via, x.sets) == (y.method, y.attr, y.via, y.sets) &&
+        x.labeled.queryExecution.analyzed.sameResult(y.labeled.queryExecution.analyzed)
+    }
+
+  private type FuzzRow = (Option[String], Option[Int], Option[Double], Option[String],
+                          Option[Double], Int, Option[String])
+  private val fuzzCols = Seq("s", "i", "d", "g", "h", "k", "z")
+
+  /** Small frames with nulls, count ties, NaN, ±0.0, a constant column (k),
+    * an all-null column (z), and columns functionally determined by another
+    * (g by i, h by s) whose maps may send ±0.0, NaN or null anywhere.
+    */
+  private val fuzzFrames: Gen[Seq[FuzzRow]] = {
+    val str = Gen.frequency(1 -> Gen.const(None), 6 -> Gen.oneOf("a", "b", "c", "d", "e").map(Some(_)))
+    val int = Gen.frequency(1 -> Gen.const(None), 6 -> Gen.choose(-3, 8).map(Some(_)))
+    val dbl = Gen.frequency(1 -> Gen.const(None),
+      6 -> Gen.oneOf(Double.NaN, 0.0, -0.0, 1.5, -2.25, 3.0, 1e9).map(Some(_)))
+    for {
+      n    <- Gen.choose(0, 24)
+      ss   <- Gen.listOfN(n, str)
+      is   <- Gen.listOfN(n, int)
+      ds   <- Gen.listOfN(n, dbl)
+      gMap <- Gen.listOfN(13, Gen.oneOf(None, Some("x"), Some("y")))
+      hMap <- Gen.listOfN(6, Gen.oneOf(None, Some(Double.NaN), Some(0.0), Some(-0.0), Some(1.0)))
+    } yield ss.indices.map { r =>
+      val g = is(r).flatMap(v => gMap(v + 3))
+      val h = ss(r).flatMap(v => hMap(v.head - 'a'))
+      (ss(r), is(r), ds(r), g, h, 7, Option.empty[String])
+    }
+  }
+
+  private def frame(rows: Seq[FuzzRow]): DataFrame = rows.toDF(fuzzCols: _*)
+
+  test("candidatesMulti equals the per-n partitions on random frames") {
+    checkProp(Prop.forAllNoShrink(fuzzFrames, Gen.oneOf(fuzzCols)) { (rows, attr) =>
+      val df   = frame(rows)
+      val ns   = Seq(5, 10)
+      val refs = ns.flatMap(n => Seq(
+        Partition.frequency(df, attr, n).sets == refTop(df, attr, n),
+        !Ks.isNumeric(df, attr) || Partition.numericBins(df, attr, n).sets == refBins(df, attr, n)))
+      Prop(refs.forall(identity)) :| "per-n functions match the one-query reference" &&
+        Prop(samePartitions(Partition.candidatesMulti(df, attr, ns), perN(df, attr, ns))) :|
+          s"candidatesMulti($attr) matches per-n partitions"
+    }, minTests = 20)
+  }
+
+  test("the min/max FD test equals countDistinct per group on random frames") {
+    checkProp(Prop.forAllNoShrink(fuzzFrames, Gen.oneOf(fuzzCols)) { (rows, attr) =>
+      val df = frame(rows)
+      val bs = fuzzCols.filterNot(_ == attr)
+      Prop(Partition.functionallyDetermined(df, attr, bs) == refDetermined(df, attr, bs)) :| attr
+    }, minTests = 20)
+  }
+
+  test("numeric bins from one shared quantile pass equal one pass per n") {
+    // enough distinct values that the quantile summary compresses
+    val df = spark.range(20000).selectExpr("cast((id * 7919) % 10007 as double) / 3 as v")
+    val ps = Partition.candidatesMulti(df, "v", Seq(5, 10), enableManyToOne = false)
+      .filter(_.method == "numeric")
+    assert(ps.map(_.sets) === Seq(refBins(df, "v", 5), refBins(df, "v", 10)))
   }
 }
