@@ -38,8 +38,8 @@ final case class ContributionResult(full: Double, perSet: Map[String, Double],
   * `C(R,A,Q) = I_A(D_in, q, d_out) − I_A(D_in − R, q, d'_out)`.
   *
   * `exact` is the literal interventional semantics (re-run q per exclusion) —
-  * the reference used in tests. `all` is the production path: one or two
-  * Spark aggregations produce per-(set, value) cells from which the score of
+  * the reference used in tests. `all` is the production path: one Spark
+  * aggregation produces per-(set, value) cells from which the score of
   * *every* exclusion is reconstructed on the driver, because each output row
   * descends from exactly one (partitioned) input row.
   */
@@ -62,132 +62,70 @@ object Contribution {
   def all(step: Step, attr: String, partition: RowPartition,
           labeledIdx: Int = 0, maxBins: Int = 1024): Option[ContributionResult] =
     step.op match {
-      case f: FilterOp  => Some(filterPath(step, f, attr, partition, maxBins))
-      case j: JoinOp    => joinPath(step, j, attr, partition, labeledIdx, maxBins)
-      case _: UnionOp   => Some(unionPath(step, attr, partition, labeledIdx, maxBins))
       case g: GroupByOp => groupByPath(step, g, attr, partition, maxBins)
+      case _            => exceptionality(step, attr, partition, labeledIdx, maxBins)
     }
 
-  // ---------------------------------------------------------------- helpers
+  // ------------------------------------------------------ exceptionality path
 
-  private def optLabel(r: Row, i: Int): Option[String] =
-    if (r.isNullAt(i)) None else Some(r.getString(i))
-
-  /** value→count map after removing the cells of `excluded`. */
-  private def minus(cells: Seq[(Option[String], String, Long)],
-                    excluded: Option[String]): Seq[(String, Long)] =
-    cells.collect { case (l, v, c) if excluded.isEmpty || l != excluded => (v, c) }
-
-  private def shares(cells: Seq[(Option[String], String, Long)]): Map[String, Double] = {
-    val total = cells.map(_._3).sum.toDouble
-    if (total == 0) Map.empty
-    else cells.groupBy(_._1).collect { case (Some(l), cs) => l -> cs.map(_._3).sum / total }
-  }
-
-  // ------------------------------------------------------------ filter path
-
-  /** Single aggregation over the labeled input: per (set, value) — input count
-    * and surviving-the-predicate count. KS for every exclusion follows on the
-    * driver.
+  /** Filter, join and union: I = max over `step.sources(attr)` of KS(source,
+    * output), for the full data and for every exclusion; C = I_full − I_excl.
+    *
+    * One aggregation counts rows per (set, key) on every side: each source
+    * input (the partitioned one carries its labels, the others a null label)
+    * and the output re-applied to the partitioned input, which keeps the
+    * label. Removing a set removes its cells from the partitioned input and
+    * the output, and no others, so the driver scores every exclusion from
+    * these counts.
     */
-  private def filterPath(step: Step, f: FilterOp, attr: String,
-                         partition: RowPartition, maxBins: Int): ContributionResult = {
-    val (key, numeric) = Ks.keyExpr(step.inputs.head, attr, maxBins)
-    val pred = expr(f.predicate)
-    val rows = partition.labeled
-      .groupBy(col(LabelCol).as("__l"), key(col(attr)).as("__k"))
-      .agg(count(lit(1)).as("cin"), sum(when(pred, 1L).otherwise(0L)).as("cout"))
-      .collect()
-    val inCells  = rows.toSeq.collect { case r if !r.isNullAt(1) => (optLabel(r, 0), r.getString(1), r.getLong(2)) }
-    val outCells = rows.toSeq.collect { case r if !r.isNullAt(1) => (optLabel(r, 0), r.getString(1), r.getLong(3)) }
-    excResult(Seq(inCells -> true), outCells, numeric, sizeCells = {
-      // set sizes irrespective of attr nulls, for input/output shares
-      val inS  = rows.toSeq.map(r => (optLabel(r, 0), "", r.getLong(2)))
-      val outS = rows.toSeq.map(r => (optLabel(r, 0), "", r.getLong(3)))
-      (inS, outS)
-    })
-  }
+  private def exceptionality(step: Step, attr: String, partition: RowPartition,
+                             labeledIdx: Int, maxBins: Int): Option[ContributionResult] = {
+    val sources = step.sources(attr)
+    if (sources.isEmpty) return None
+    val labeledSide = sources.indexWhere(_._1 == labeledIdx) // -1: not a source
+    // the key space of the partitioned input when it is a source, else of the first
+    val (keyIdx, keyCol) = sources(labeledSide max 0)
+    val (key, numeric) = Ks.keyExpr(step.inputs(keyIdx), keyCol, maxBins)
+    val outSide = sources.size // the output's count follows the sources'
+    // A filter's output rows are a subset of its input rows: one scan of the
+    // labeled input counts both sides, where a tagged union would read it twice.
+    val (tagged, counts) = step.op match {
+      case FilterOp(pred) =>
+        (partition.labeled.select(col(LabelCol), key(col(attr)), expr(pred)),
+          Seq(count(lit(1)), count_if(col("__s"))))
+      case _ =>
+        val ins = step.inputs.updated(labeledIdx, partition.labeled)
+        val sides = sources.map { case (i, c) =>
+          ins(i).select(if (i == labeledIdx) col(LabelCol) else lit(null).cast("string"), key(col(c)))
+        } :+ step.reapply(ins).select(col(LabelCol), key(col(attr)))
+        (sides.zipWithIndex.map { case (df, j) => df.withColumn("__s", lit(j)) }.reduce(_.unionAll(_)),
+          sides.indices.map(j => count_if(col("__s") === j)))
+    }
+    val rows = tagged.toDF("__l", "__k", "__s").groupBy("__l", "__k")
+      .agg(counts.head, counts.tail: _*).collect()
+    // (set, key, count per side); a null key only counts toward the shares
+    val cells = rows.toSeq.map { r =>
+      (Option(r.getString(0)), Option(r.getString(1)), (0 to outSide).map(j => r.getLong(2 + j)))
+    }
+    val keyed = cells.collect { case (l, Some(k), cs) => (l, k, cs) }
 
-  // -------------------------------------------------------------- join path
-
-  /** Two aggregations: the owning input's frequency table (labeled when the
-    * owning side is the partitioned one) and the labeled join output's
-    * frequency table.
-    */
-  private def joinPath(step: Step, j: JoinOp, attr: String, partition: RowPartition,
-                       labeledIdx: Int, maxBins: Int): Option[ContributionResult] =
-    j.inputOf(attr).map { case (ownerIdx, orig) =>
-      val owner = step.inputs(ownerIdx)
-      val (key, numeric) = Ks.keyExpr(owner, orig, maxBins)
-      val inCells =
-        if (ownerIdx == labeledIdx)
-          partition.labeled
-            .groupBy(col(LabelCol).as("__l"), key(col(orig)).as("__k")).count().collect()
-            .toSeq.collect { case r if !r.isNullAt(1) => (optLabel(r, 0), r.getString(1), r.getLong(2)) }
-        else
-          owner.groupBy(key(col(orig)).as("__k")).count().collect()
-            .toSeq.collect { case r if !r.isNullAt(0) => (None: Option[String], r.getString(0), r.getLong(1)) }
-      val out = step.reapply(step.inputs.updated(labeledIdx, partition.labeled))
-      val outRows = out
-        .groupBy(col(LabelCol).as("__l"), key(col(attr)).as("__k")).count().collect()
-      val outCells = outRows.toSeq.collect {
-        case r if !r.isNullAt(1) => (optLabel(r, 0), r.getString(1), r.getLong(2))
-      }
-      excResult(Seq(inCells -> (ownerIdx == labeledIdx)), outCells, numeric,
-        sizeCells = (inCells, outRows.toSeq.map(r => (optLabel(r, 0), "", r.getLong(2)))))
+    def iScore(excluded: Option[String]): Double = {
+      val live = keyed.filter(c => excluded.isEmpty || c._1 != excluded)
+      def side(j: Int) = live.map { case (_, k, cs) => k -> cs(j) }
+      sources.indices.map(j => Ks.fromCounts(side(j), side(outSide), numeric)).max
+    }
+    /** Set `s`'s share of side `j`'s rows, null keys included. */
+    def share(j: Int, s: String): Option[Double] = {
+      val total = cells.map(_._3(j)).sum
+      Option.when(total > 0)(cells.collect { case (Some(`s`), _, cs) => cs(j) }.sum.toDouble / total)
     }
 
-  // ------------------------------------------------------------- union path
-
-  /** Union interestingness is the max KS over the input dataframes (§3.2);
-    * removing a set touches the partitioned input and the output.
-    */
-  private def unionPath(step: Step, attr: String, partition: RowPartition,
-                        labeledIdx: Int, maxBins: Int): ContributionResult = {
-    val (key, numeric) = Ks.keyExpr(step.inputs(labeledIdx), attr, maxBins)
-    val inCellsPerInput = step.inputs.zipWithIndex.map { case (in, i) =>
-      if (i == labeledIdx)
-        (partition.labeled.groupBy(col(LabelCol).as("__l"), key(col(attr)).as("__k")).count()
-          .collect().toSeq.collect { case r if !r.isNullAt(1) => (optLabel(r, 0), r.getString(1), r.getLong(2)) },
-          true)
-      else
-        (in.groupBy(key(col(attr)).as("__k")).count().collect()
-          .toSeq.collect { case r if !r.isNullAt(0) => (None: Option[String], r.getString(0), r.getLong(1)) },
-          false)
-    }
-    val out = step.reapply(step.inputs.updated(labeledIdx, partition.labeled))
-    val outRows = out.groupBy(col(LabelCol).as("__l"), key(col(attr)).as("__k")).count().collect()
-    val outCells = outRows.toSeq.collect {
-      case r if !r.isNullAt(1) => (optLabel(r, 0), r.getString(1), r.getLong(2))
-    }
-    val labeledIn = inCellsPerInput.collectFirst { case (cs, true) => cs }.get
-    excResult(inCellsPerInput, outCells, numeric,
-      sizeCells = (labeledIn, outRows.toSeq.map(r => (optLabel(r, 0), "", r.getLong(2)))))
-  }
-
-  /** Shared exceptionality scoring: I = (max over inputs of) KS(in', out') for
-    * the full data and for every exclusion; C = I_full − I_excl.
-    */
-  private def excResult(inputs: Seq[(Seq[(Option[String], String, Long)], Boolean)],
-                        outCells: Seq[(Option[String], String, Long)],
-                        numeric: Boolean,
-                        sizeCells: (Seq[(Option[String], String, Long)], Seq[(Option[String], String, Long)]))
-      : ContributionResult = {
-    def iScore(excluded: Option[String]): Double =
-      inputs.map { case (cells, labeled) =>
-        val in  = minus(cells, if (labeled) excluded else None)
-        val out = minus(outCells, excluded)
-        Ks.fromCounts(in, out, numeric)
-      }.max
-    val full = iScore(None)
-    val sets = (inputs.collect { case (cs, true) => cs }.flatten.flatMap(_._1) ++
-                outCells.flatMap(_._1)).distinct
+    val full   = iScore(None)
+    val sets   = keyed.flatMap(_._1).distinct
     val perSet = sets.map(s => s -> (full - iScore(Some(s)))).toMap
-    val (inSize, outSize) = sizeCells
-    val inShares  = shares(inSize)
-    val outShares = shares(outSize)
-    val stats = sets.map(s => s -> SetStats(inShare = inShares.get(s), outShare = outShares.get(s))).toMap
-    ContributionResult(full, perSet, stats)
+    val stats  = sets.map(s => s -> SetStats(
+      inShare = if (labeledSide < 0) None else share(labeledSide, s), outShare = share(outSide, s))).toMap
+    Some(ContributionResult(full, perSet, stats))
   }
 
   // ---------------------------------------------------------- group-by path
@@ -228,7 +166,7 @@ object Contribution {
     val byGroup: Map[Seq[String], Seq[(Row, Cell)]] = grouped.toSeq.map { r =>
       val gid: Seq[String] = (0 until nk).map(i => if (r.isNullAt(i)) "∅" else r.get(i).toString).toList
       val cell = Cell(
-        set = optLabel(r, colIdx("__l")),
+        set = Option(r.getString(colIdx("__l"))),
         cnt = r.getLong(colIdx("__cnt")),
         sums = srcCols.collect { case c if !r.isNullAt(colIdx(s"__sum__$c")) => c -> r.getDouble(colIdx(s"__sum__$c")) }.toMap,
         cnts = srcCols.map(c => c -> r.getLong(colIdx(s"__cntc__$c"))).toMap,
@@ -270,7 +208,7 @@ object Contribution {
       Diversity.cv(byGroup.values.flatMap(cs => groupValue(cs, excluded)))
 
     val full   = iScore(None)
-    val sets   = grouped.toSeq.flatMap(r => optLabel(r, colIdx("__l"))).distinct
+    val sets   = grouped.toSeq.flatMap(r => Option(r.getString(colIdx("__l")))).distinct
     val perSet = sets.map(s => s -> (full - iScore(Some(s)))).toMap
 
     // Caption stats: a group belongs to the set holding a plurality of its rows.

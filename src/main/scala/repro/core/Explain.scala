@@ -60,16 +60,14 @@ object Fedex {
 
   /** Partition targets for explaining output column `attr`: which input index
     * to partition and on which of its attributes. Mirrors the paper's
-    * examples: the column itself for filter/join/union (the deviation is in
-    * that column), the grouping keys for group-by (the diversity is across
-    * groups).
+    * examples: the grouping keys for group-by (the diversity is across
+    * groups), else the column's first source (the deviation is in that
+    * column).
     */
   private def partitionTargets(step: Step, attr: String): Seq[(Int, String)] =
     step.op match {
-      case _: FilterOp => if (step.inputs.head.columns.contains(attr)) Seq(0 -> attr) else Seq.empty
-      case j: JoinOp   => j.inputOf(attr).toSeq
-      case _: UnionOp  => if (step.inputs.head.columns.contains(attr)) Seq(0 -> attr) else Seq.empty
       case g: GroupByOp => g.keys.map(0 -> _)
+      case _            => step.sources(attr).take(1)
     }
 
   /** Attributes excluded from explanation: the filter predicate's own columns
@@ -78,8 +76,8 @@ object Fedex {
     * not popularity, for the popularity filter).
     */
   def excludedAttrs(step: Step): Set[String] = step.op match {
-    case FilterOp(pred) => step.inputs.head.columns.filter(pred.contains).toSet
-    case _              => Set.empty
+    case f: FilterOp => f.columnsRead(step.inputs.head).toSet
+    case _           => Set.empty
   }
 
   def explain(step: Step, cfg: FedexConfig = FedexConfig()): FedexResult = {

@@ -32,31 +32,27 @@ object Sampling {
 object Interestingness {
 
   /** Score a single output attribute. Returns None when the measure does not
-    * apply (diversity over a non-numeric column, join attribute of unknown
-    * provenance, the synthetic partition label).
+    * apply (diversity over a non-numeric column, an attribute with no source
+    * column, the synthetic partition label).
     */
   def score(step: Step, attr: String, maxBins: Int = 1024): Option[Double] =
     scoreAgainst(step, step.inputs, step.output, attr, maxBins)
 
   /** As `score`, but over explicitly supplied (possibly sampled) input and
-    * output dataframes. The KS key space comes from `ins`, so a sampled run
-    * bucketises on the sample, not on the full inputs.
+    * output dataframes. Exceptionality is the max KS over `Step.sources`. The
+    * KS key space comes from `ins`, so a sampled run bucketises on the sample,
+    * not on the full inputs.
     */
   def scoreAgainst(step: Step, ins: Seq[DataFrame], out: DataFrame, attr: String,
                    maxBins: Int): Option[Double] = {
     if (attr == Partition.LabelCol) return None
     step.op match {
-      case _: FilterOp =>
-        Some(Ks.statistic(ins.head, out, attr, maxBins))
-      case j: JoinOp =>
-        j.inputOf(attr).map { case (idx, orig) =>
-          val in = ins(idx).withColumnRenamed(orig, attr)
-          Ks.statistic(in, out, attr, maxBins)
-        }
-      case _: UnionOp =>
-        Some(ins.map(in => Ks.statistic(in, out, attr, maxBins)).max)
       case _: GroupByOp =>
         if (Ks.isNumeric(out, attr)) Some(Diversity.cv(out, attr)) else None
+      case _ =>
+        step.sources(attr).map { case (idx, orig) =>
+          Ks.statistic(ins(idx).withColumnRenamed(orig, attr), out, attr, maxBins)
+        }.maxOption
     }
   }
 

@@ -88,12 +88,11 @@ object Ks {
     }
   }
 
-  /** KS statistic between `a[column]` and `b[column]`. `statsFrom` (defaults
-    * to `a`) decides type/bucketisation so both sides share one key space.
+  /** KS statistic between `a[column]` and `b[column]`. `a` decides
+    * type/bucketisation so both sides share one key space.
     */
-  def statistic(a: DataFrame, b: DataFrame, column: String,
-                maxBins: Int = 1024, statsFrom: Option[DataFrame] = None): Double = {
-    val (key, numeric) = keyExpr(statsFrom.getOrElse(a), column, maxBins)
+  def statistic(a: DataFrame, b: DataFrame, column: String, maxBins: Int = 1024): Double = {
+    val (key, numeric) = keyExpr(a, column, maxBins)
     val tagged = a.select(key(col(column)).as("__k"), lit(0).as("__s"))
       .unionAll(b.select(key(col(column)).as("__k"), lit(1).as("__s")))
       .where(col("__k").isNotNull)

@@ -17,7 +17,6 @@ final case class RowPartition(method: String, attr: String, via: Option[String],
                               labeled: DataFrame, sets: Seq[String]) {
   /** Attribute whose values name the sets (B for many-to-one, else A). */
   def labelAttr: String = via.getOrElse(attr)
-  def describe: String  = via.fold(s"$method($attr)")(b => s"$method($attr via $b)")
 }
 
 /** The three partition methods of §3.5. All run as Spark aggregations to find

@@ -44,6 +44,14 @@ final case class FilterOp(predicate: String) extends EdaOp {
     require(inputs.size == 1, s"filter takes one input, got ${inputs.size}")
     inputs.head.where(expr(predicate))
   }
+
+  /** The columns of `input` the predicate reads, in column order, as Catalyst
+    * resolves them: `age > 3` reads `age`, not also a column named `a`.
+    */
+  def columnsRead(input: DataFrame): Seq[String] = {
+    val filter = input.where(expr(predicate)).queryExecution.analyzed
+    filter.children.flatMap(_.output).filter(filter.references.contains).map(_.name)
+  }
   override def kind: String = "filter"
 }
 
@@ -115,4 +123,16 @@ final case class Step(inputs: Seq[DataFrame], op: EdaOp, name: String = "") {
 
   /** Output attributes eligible for explanation (partition label excluded). */
   def outputAttrs: Seq[String] = output.columns.toSeq.filterNot(_ == Partition.LabelCol)
+
+  /** The (input index, input column) pairs whose distribution exceptionality
+    * (§3.2, Eq. 1) compares output column `attr` against: the same column of
+    * a filter's input or of every union input that has it, the owning side's
+    * column of a join. None for group-by, whose diversity has no input side.
+    */
+  def sources(attr: String): Seq[(Int, String)] = op match {
+    case _: FilterOp | _: UnionOp =>
+      inputs.indices.filter(inputs(_).columns.contains(attr)).map(_ -> attr)
+    case j: JoinOp    => j.inputOf(attr).toSeq
+    case _: GroupByOp => Seq.empty
+  }
 }

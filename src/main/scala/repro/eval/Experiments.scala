@@ -86,8 +86,7 @@ object Experiments {
     * the query attribute in the projected schema).
     */
   def requiredCols(q: BenchQuery): Seq[(Int, Seq[String])] = q.step.op match {
-    case FilterOp(pred) =>
-      Seq(0 -> q.step.inputs.head.columns.toSeq.filter(c => pred.contains(c)))
+    case f: FilterOp => Seq(0 -> f.columnsRead(q.step.inputs.head))
     case j: JoinOp => Seq(0 -> Seq(j.leftKey), 1 -> Seq(j.rightKey))
     case g: GroupByOp =>
       Seq(0 -> (g.keys ++ g.aggs.map(_.column).filter(_ != "*")).distinct)

@@ -1,9 +1,22 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{PropChecks, SparkSpec}
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop}
 
-class ContributionSpec extends SparkSpec {
+object ContributionSpec {
+
+  /** One random case: a step, the output column, the partitioned input and
+    * the column of that input the output column comes from, if it is a source.
+    */
+  final case class Case(name: String, step: Step, attr: String, idx: Int,
+                        partitionOn: String, inCol: Option[String]) {
+    override def toString: String = s"$name explaining $attr"
+  }
+}
+
+class ContributionSpec extends SparkSpec with PropChecks {
+  import ContributionSpec.Case
   import spark.implicits._
 
   private def freqPartitionOn(df: org.apache.spark.sql.DataFrame, attr: String, n: Int) =
@@ -130,6 +143,105 @@ class ContributionSpec extends SparkSpec {
     assertFastMatchesExact(step, "c", p, labeledIdx = 0)
   }
 
+  // ------------------------------------- fast == exact on random frames
+
+  private type FactRow = (Int, Option[String], Option[Double], Option[String], Int)
+  private type DimRow  = (Int, Option[String], Option[Double], Option[String])
+
+  private val dbl = Gen.frequency(1 -> Gen.const(None),
+    6 -> Gen.oneOf(Double.NaN, 0.0, -0.0, 1.5, -2.25, 3.0).map(Some(_)))
+  private def str(vs: String*) = Gen.frequency(1 -> Gen.const(None), 5 -> Gen.oneOf(vs).map(Some(_)))
+  private def cat(vs: String*) = Gen.frequency(1 -> Gen.const(None), 3 -> Gen.const(Some("z")),
+    4 -> Gen.oneOf(vs).map(Some(_)))
+
+  /** Small facts (id, c, v, s, k): few values, so counts tie; nulls, NaN and
+    * ±0.0 in the explained columns v and s, which are all-null where c = 'z'.
+    */
+  private val facts: Gen[Seq[FactRow]] = Gen.choose(0, 14).flatMap(n => Gen.listOfN(n,
+    for { c <- cat("a", "b", "d"); v <- dbl; s <- str("p", "q"); k <- Gen.choose(0, 3) }
+    yield (c, v, s, k))).map(_.zipWithIndex.map { case ((c, v, s, k), i) =>
+      val allNull = c.contains("z")
+      (i, c, if (allNull) None else v, if (allNull) None else s, k)
+    })
+
+  /** Join dimension (k, u, w, t): duplicate and unmatched keys, w and t
+    * all-null where u = 'z'.
+    */
+  private val dims: Gen[Seq[DimRow]] = Gen.choose(0, 6).flatMap(n => Gen.listOfN(n,
+    for { k <- Gen.choose(0, 4); u <- cat("m", "n"); w <- dbl; t <- str("e", "f") }
+    yield if (u.contains("z")) (k, u, None, None) else (k, u, w, t)))
+
+  private val cases: Gen[Seq[Case]] = for {
+    fs      <- Gen.listOfN(3, facts)
+    d       <- dims
+    pred    <- Gen.oneOf("v > 0", "s = 'p' OR v IS NULL", "id % 2 = 0", "c = 'z'", "id < 0")
+    fAttr   <- Gen.oneOf("v", "s", "c")
+    jAttrs  <- Gen.listOfN(2, Gen.oneOf("l_v", "l_s", "r_w", "r_t"))
+    uAttr   <- Gen.oneOf("v", "s")
+    u2Idx   <- Gen.choose(0, 1)
+    u3Idx   <- Gen.choose(0, 2)
+  } yield {
+    val Seq(f0, f1, f2) = fs.map(_.toDF("id", "c", "v", "s", "k"))
+    val dim  = d.toDF("k", "u", "w", "t")
+    val join = Step(Seq(f0, dim), JoinOp("k", "k", "l_", "r_"))
+    def joinCase(attr: String, idx: Int, on: String) = {
+      val prefix = if (idx == 0) "l_" else "r_"
+      Case(s"join partitioned on input $idx", join, attr, idx, on,
+        Some(attr.stripPrefix(prefix)).filter(_ => attr.startsWith(prefix)))
+    }
+    Seq(
+      Case(s"filter $pred", Step(Seq(f0), FilterOp(pred)), fAttr, 0, "c", Some(fAttr)),
+      joinCase(jAttrs(0), 0, "c"),
+      joinCase(jAttrs(1), 1, "u"),
+      Case("union of 2", Step(Seq(f0, f1), UnionOp()), uAttr, u2Idx, "c", Some(uAttr)),
+      Case("union of 3", Step(Seq(f0, f1, f2), UnionOp()), uAttr, u3Idx, "c", Some(uAttr)))
+  }
+
+  /** The fast path against the reference and against counts taken directly
+    * from the labeled input and the re-applied output.
+    */
+  private def checkCase(c: Case, n: Int): Prop = {
+    import Partition.LabelCol
+    val p    = Partition.frequency(c.step.inputs(c.idx), c.partitionOn, n)
+    val fast = Contribution.all(c.step, c.attr, p, c.idx).get
+    val in   = p.labeled.collect().map { r =>
+      (Option(r.getAs[String](LabelCol)), c.inCol.exists(ic => !r.isNullAt(r.fieldIndex(ic))))
+    }
+    val out  = c.step.reapply(c.step.inputs.updated(c.idx, p.labeled))
+      .select(col(LabelCol), col(c.attr)).collect()
+      .map(r => (Option(r.getString(0)), !r.isNullAt(1)))
+    // every set with a cell whose key is not null, on the input or the output side
+    val expectedSets = (in ++ out).collect { case (Some(l), true) => l }.toSet
+    def share(rows: Array[(Option[String], Boolean)], s: String) =
+      if (rows.isEmpty) None else Some(rows.count(_._1.contains(s)).toDouble / rows.length)
+    val wrongC = fast.perSet.toSeq.flatMap { case (s, fc) =>
+      val ec = Contribution.exact(c.step, c.attr, p, s, c.idx).get
+      if (math.abs(fc - ec) < 1e-9) None else Some(s"C($s) fast=$fc exact=$ec")
+    }
+    val wrongShares = fast.stats.toSeq.collect {
+      case (s, st) if !close(st.inShare, if (c.inCol.isDefined) share(in, s) else None) ||
+                      !close(st.outShare, share(out, s)) =>
+        s"shares($s) = ${st.inShare}, ${st.outShare}"
+    }
+    val fullI = Interestingness.score(c.step, c.attr).get
+    Prop(fast.perSet.keySet == expectedSets) :| s"$c: sets ${fast.perSet.keySet} != $expectedSets" &&
+      Prop(math.abs(fast.full - fullI) < 1e-9) :| s"$c: full ${fast.full} != $fullI" &&
+      Prop(wrongC.isEmpty) :| s"$c: ${wrongC.mkString("; ")}" &&
+      Prop(wrongShares.isEmpty) :| s"$c: ${wrongShares.mkString("; ")}"
+  }
+
+  private def close(a: Option[Double], b: Option[Double]): Boolean = (a, b) match {
+    case (Some(x), Some(y)) => math.abs(x - y) < 1e-12
+    case _                  => a == b
+  }
+
+  test("fast == exact on random frames: filter, join on either side, union of 2 and 3") {
+    // n = 2 leaves non-null values in the ignore-set; n = 4 makes every value a set
+    checkProp(Prop.forAllNoShrink(cases, Gen.oneOf(2, 4)) { (cs, n) =>
+      cs.map(checkCase(_, n)).reduce(_ && _)
+    }, minTests = 12)
+  }
+
   // --------------------------------------------------------- standardized
 
   test("standardized contribution centres and scales within the partition") {
@@ -156,6 +268,23 @@ class ContributionSpec extends SparkSpec {
     assert(math.abs(res.stats("A").inShare.get - 0.5) < 1e-12)
     assert(math.abs(res.stats("A").outShare.get - (1.0 / 3)) < 1e-12)
     assert(math.abs(res.stats("B").outShare.get - (2.0 / 3)) < 1e-12)
+
+    // join and union: rows whose explained column is null still count toward
+    // their set's input share, as they do for filter
+    val dim  = Seq((1, Some("x")), (2, None), (3, Some("x")), (4, Some("y"))).toDF("k", "name")
+    val fact = Seq(1, 1, 2, 3, 4).toDF("k")
+    val join = Step(Seq(dim, fact), JoinOp("k", "k", "dim_", "fact_"))
+    val jres = Contribution.all(join, "dim_name", freqPartitionOn(dim, "k", 4)).get
+    assert(math.abs(jres.stats("1").inShare.get - 0.25) < 1e-12)
+    assert(math.abs(jres.stats("1").outShare.get - 0.4) < 1e-12)
+    assert(!jres.stats.contains("2")) // all-null on dim_name: not a set
+
+    val a     = Seq(("p", Some(1)), ("p", None), ("q", Some(3)), ("q", Some(4))).toDF("c", "v")
+    val b     = Seq(("p", Some(9)), ("r", None)).toDF("c", "v")
+    val union = Step(Seq(a, b), UnionOp())
+    val ures  = Contribution.all(union, "v", freqPartitionOn(a, "c", 2)).get
+    assert(math.abs(ures.stats("p").inShare.get - 0.5) < 1e-12)
+    assert(math.abs(ures.stats("p").outShare.get - (2.0 / 6)) < 1e-12)
   }
 
   test("diversity stats carry set means and the overall mean/sd") {

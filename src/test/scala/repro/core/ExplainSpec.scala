@@ -30,6 +30,12 @@ class ExplainSpec extends SparkSpec {
 
   private val fastCfg = FedexConfig(nSets = Seq(5), topKColumns = 3)
 
+  test("excludedAttrs: only the columns the filter predicate reads, not name substrings") {
+    val df = Seq((30, 1, "x")).toDF("age", "a", "g")
+    assert(Fedex.excludedAttrs(Step(Seq(df), FilterOp("age > 3"))) === Set("age"))
+    assert(Fedex.excludedAttrs(Step(Seq(df), FilterOp("a = 1 AND g = 'age'"))) === Set("a", "g"))
+  }
+
   test("filter step: skyline is non-empty and every candidate has positive raw contribution") {
     val res = Fedex.explain(Step(Seq(mini), FilterOp("popularity > 65")), fastCfg)
     assert(res.skyline.nonEmpty)

@@ -149,14 +149,6 @@ class KsSpec extends SparkSpec with PropChecks {
     assert(math.abs(exact - binned) < 0.05, s"exact=$exact binned=$binned")
   }
 
-  test("statistic: statsFrom fixes the key space for sampled comparisons") {
-    val base = spark.range(5000).selectExpr("cast(id as double) as v")
-    val out  = base.where("v > 2500")
-    val d1 = Ks.statistic(base, out, "v", maxBins = 64)
-    val d2 = Ks.statistic(base, out, "v", maxBins = 64, statsFrom = Some(base))
-    assert(math.abs(d1 - d2) < 1e-12)
-  }
-
   test("isNumeric detects numeric and non-numeric columns") {
     val df = Seq((1, "a", 2.0)).toDF("i", "s", "d")
     assert(Ks.isNumeric(df, "i"))

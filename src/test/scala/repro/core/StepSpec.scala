@@ -161,6 +161,27 @@ class StepSpec extends SparkSpec {
       li.where("l_orderkey % 2 = 0 AND l_quantity > 25").count())
   }
 
+  test("Step.sources: each op's input columns behind an output column") {
+    val a = Seq((1, "x", 2.0)).toDF("k", "name", "v")
+    val b = Seq((1, 3.0)).toDF("k", "v")
+    assert(Step(Seq(a), FilterOp("v > 1")).sources("name") === Seq(0 -> "name"))
+    val join = Step(Seq(a, b), JoinOp("k", "k", "l_", "r_"))
+    assert(join.sources("l_name") === Seq(0 -> "name"))
+    assert(join.sources("r_v") === Seq(1 -> "v"))
+    assert(join.sources(Partition.LabelCol).isEmpty)
+    assert(Step(Seq(a, a, a), UnionOp()).sources("v") === Seq(0 -> "v", 1 -> "v", 2 -> "v"))
+    assert(Step(Seq(a, b), UnionOp()).sources("name") === Seq(0 -> "name"))
+    assert(Step(Seq(a), GroupByOp(Seq("name"), Seq(AggSpec("sum", "v", "s")))).sources("name").isEmpty)
+  }
+
+  test("FilterOp.columnsRead: the predicate's columns as Catalyst resolves them") {
+    val df = Seq((30, 1, 2, "x")).toDF("age", "a", "ag", "note")
+    assert(FilterOp("age > 3").columnsRead(df) === Seq("age"))
+    assert(FilterOp("AGE > 3 AND note = 'a'").columnsRead(df) === Seq("age", "note"))
+    assert(FilterOp("`ag` < a").columnsRead(df) === Seq("a", "ag"))
+    assert(FilterOp("true").columnsRead(df).isEmpty)
+  }
+
   test("Step.outputAttrs hides the partition label column") {
     val p    = Partition.frequency(li, "l_returnflag", 2)
     val step = Step(Seq(p.labeled), FilterOp("l_quantity > 25"))
