@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{Ks, Partition}
+import repro.core.Ks
 
 /** One auto-extracted insight over the output dataframe. */
 final case class RathInsight(kind: String, dim: String, measure: String,

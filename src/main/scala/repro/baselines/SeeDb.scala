@@ -66,7 +66,6 @@ object SeeDb {
     framePair(step).map { case (ref, tgt) =>
       val dims = dimensions(ref, maxDistinct, maxDims)
       val ms   = measures(ref, maxMeasures)
-      val aggs = Seq("avg", "sum", "count")
       val views = dims.flatMap { d =>
         val exprs = ms.flatMap(m => Seq(
           avg(col(m).cast("double")).as(s"avg__$m"),

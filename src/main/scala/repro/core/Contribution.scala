@@ -62,7 +62,7 @@ object Contribution {
   def all(step: Step, attr: String, partition: RowPartition,
           labeledIdx: Int = 0, maxBins: Int = 1024): Option[ContributionResult] =
     step.op match {
-      case g: GroupByOp => groupByPath(step, g, attr, partition, maxBins)
+      case g: GroupByOp => groupByPath(step, g, attr, partition)
       case _            => exceptionality(step, attr, partition, labeledIdx, maxBins)
     }
 
@@ -130,101 +130,76 @@ object Contribution {
 
   // ---------------------------------------------------------- group-by path
 
-  /** Per-(group, set) partial aggregates reconstruct each group's aggregated
-    * value under any exclusion: sum/count/mean exactly; min/max because the
-    * sets partition the group's rows.
+  /** Group-by: I = CV of the group values of `attr` (Eq. 2); C = I_full − I_excl.
+    * One aggregation gives a row per (group, set), read into a `Cell` of
+    * `attr`'s partials, from which any exclusion's group values follow: count,
+    * sum and mean exactly, min and max because the sets partition the rows.
     */
   private def groupByPath(step: Step, g: GroupByOp, attr: String,
-                          partition: RowPartition, maxBins: Int): Option[ContributionResult] = {
-    val keyIdx  = g.keys.indexOf(attr)
-    val aggSpec = g.aggs.find(_.alias == attr)
-    if (keyIdx < 0 && aggSpec.isEmpty) return None
-    if (keyIdx >= 0 && !Ks.isNumeric(step.inputs.head, attr)) return None
+                          partition: RowPartition): Option[ContributionResult] = {
+    // the cell's row count, and the count, sum, min and max of non-null values
+    final case class Cell(set: Option[String], rows: Long, n: Long, sum: Double,
+                          min: Option[Double], max: Option[Double])
+    val keyIdx = g.keys.indexOf(attr)
+    // a numeric key is its own min and max, so it is explained as max
+    val spec = if (keyIdx < 0) g.aggs.find(_.alias == attr)
+               else Option.when(Ks.isNumeric(step.inputs.head, attr))(AggSpec("max", attr, attr))
+    spec.map { case AggSpec(func, column, _) =>
+      // Every aggregated column, not only `attr`: each column explained over
+      // this partition sends the same query, so Spark compiles its plan once.
+      val srcCols = g.aggs.map(_.column).filter(_ != "*").distinct
+      val aggExprs =
+        count(lit(1)).as("__cnt") +:
+        srcCols.flatMap(c => Seq(
+          sum(col(c).cast("double")).as(s"__sum__$c"),
+          count(col(c)).as(s"__cntc__$c"),
+          max(col(c).cast("double")).as(s"__max__$c"),
+          min(col(c).cast("double")).as(s"__min__$c")))
+      // each row: the keys, the set, the row count, then sum, count, max, min per source column
+      val nk = g.keys.size
+      val at = nk + 2 + 4 * srcCols.indexOf(column)
+      def num(r: Row, i: Int) = Option.when(!r.isNullAt(i))(r.getAs[Number](i).doubleValue)
+      val groups: Seq[Seq[Cell]] = partition.labeled
+        .groupBy((g.keys.map(col) :+ col(LabelCol).as("__l")): _*)
+        .agg(aggExprs.head, aggExprs.tail: _*)
+        .collect().toSeq.map { r =>
+          val (set, rows) = (Option(r.getString(nk)), r.getLong(nk + 1))
+          val cell =
+            if (keyIdx >= 0) Cell(set, rows, rows, 0.0, num(r, keyIdx), num(r, keyIdx))
+            else if (column == "*") Cell(set, rows, rows, 0.0, None, None)
+            else Cell(set, rows, r.getLong(at + 1), num(r, at).getOrElse(0.0), num(r, at + 3), num(r, at + 2))
+          (0 until nk).map(i => Option(r.get(i)).map(_.toString)) -> cell
+        }.groupMap(_._1)(_._2).values.toSeq
 
-    val srcCols = g.aggs.map(_.column).filter(_ != "*").distinct
-    val aggExprs =
-      count(lit(1)).as("__cnt") +:
-      srcCols.flatMap(c => Seq(
-        sum(col(c).cast("double")).as(s"__sum__$c"),
-        count(col(c)).as(s"__cntc__$c"),
-        max(col(c).cast("double")).as(s"__max__$c"),
-        min(col(c).cast("double")).as(s"__min__$c")))
-    val grouped = partition.labeled
-      .groupBy((g.keys.map(col) :+ col(LabelCol).as("__l")): _*)
-      .agg(aggExprs.head, aggExprs.tail: _*)
-      .collect()
-
-    val nk     = g.keys.size
-    val schema = g.keys ++ Seq("__l", "__cnt") ++
-      srcCols.flatMap(c => Seq(s"__sum__$c", s"__cntc__$c", s"__max__$c", s"__min__$c"))
-    val colIdx = schema.zipWithIndex.toMap
-
-    final case class Cell(set: Option[String], cnt: Long,
-                          sums: Map[String, Double], cnts: Map[String, Long],
-                          maxs: Map[String, Double], mins: Map[String, Double])
-    // group identity -> (numeric key value when attr is a key, cells)
-    val byGroup: Map[Seq[String], Seq[(Row, Cell)]] = grouped.toSeq.map { r =>
-      val gid: Seq[String] = (0 until nk).map(i => if (r.isNullAt(i)) "∅" else r.get(i).toString).toList
-      val cell = Cell(
-        set = Option(r.getString(colIdx("__l"))),
-        cnt = r.getLong(colIdx("__cnt")),
-        sums = srcCols.collect { case c if !r.isNullAt(colIdx(s"__sum__$c")) => c -> r.getDouble(colIdx(s"__sum__$c")) }.toMap,
-        cnts = srcCols.map(c => c -> r.getLong(colIdx(s"__cntc__$c"))).toMap,
-        maxs = srcCols.collect { case c if !r.isNullAt(colIdx(s"__max__$c")) => c -> r.getDouble(colIdx(s"__max__$c")) }.toMap,
-        mins = srcCols.collect { case c if !r.isNullAt(colIdx(s"__min__$c")) => c -> r.getDouble(colIdx(s"__min__$c")) }.toMap)
-      gid -> (r, cell)
-    }.groupMap(_._1)(_._2)
-
-    /** The group's value for `attr` with `excluded` removed; None if the group
-      * vanishes or the aggregate is null (matching Spark semantics).
-      */
-    def groupValue(cells: Seq[(Row, Cell)], excluded: Option[String]): Option[Double] = {
-      val live = cells.filter { case (_, c) => excluded.isEmpty || c.set != excluded }
-      if (live.isEmpty || live.map(_._2.cnt).sum == 0L) return None
-      if (keyIdx >= 0) {
-        val r = live.head._1
-        return if (r.isNullAt(keyIdx)) None
-               else Some(r.get(keyIdx).toString.toDouble)
+      // The group's value without `excluded`'s rows: None when no row is left
+      // or the aggregate is null, as in Spark.
+      def value(cells: Seq[Cell], excluded: Option[String]): Option[Double] = {
+        val live = cells.filter(c => excluded.isEmpty || c.set != excluded)
+        val n    = live.map(_.n).sum
+        if (live.isEmpty) None
+        else func match {
+          case "count"        => Some(n.toDouble)
+          case "sum"          => Option.when(n > 0)(live.map(_.sum).sum)
+          case "mean" | "avg" => Option.when(n > 0)(live.map(_.sum).sum / n)
+          case "max"          => live.flatMap(_.max).maxOption
+          case "min"          => live.flatMap(_.min).minOption
+        }
       }
-      val spec = aggSpec.get
-      val c    = spec.column
-      spec.func match {
-        case "count" if c == "*" => Some(live.map(_._2.cnt).sum.toDouble)
-        case "count"             => Some(live.map(_._2.cnts(c)).sum.toDouble)
-        case "sum" =>
-          val n = live.map(_._2.cnts(c)).sum
-          if (n == 0) None else Some(live.flatMap(_._2.sums.get(c)).sum)
-        case "mean" | "avg" =>
-          val n = live.map(_._2.cnts(c)).sum
-          if (n == 0) None else Some(live.flatMap(_._2.sums.get(c)).sum / n)
-        case "max" =>
-          val vs = live.flatMap(_._2.maxs.get(c)); if (vs.isEmpty) None else Some(vs.max)
-        case "min" =>
-          val vs = live.flatMap(_._2.mins.get(c)); if (vs.isEmpty) None else Some(vs.min)
-      }
+
+      val values = groups.flatMap(value(_, None))
+      val full   = Diversity.cv(values)
+      val sets   = groups.flatten.flatMap(_.set).distinct
+      val perSet = sets.map(s => s -> (full - Diversity.cv(groups.flatMap(value(_, Some(s)))))).toMap
+
+      // Caption stats: a group belongs to the set holding a plurality of its rows.
+      val (_, mu, sd) = Diversity.moments(values)
+      val setMeans: Map[String, Double] = groups.flatMap { cs =>
+        val dominant = cs.groupMapReduce(_.set)(_.rows)(_ + _).maxBy(_._2)._1
+        for { d <- dominant; v <- value(cs, None) } yield d -> v
+      }.groupMap(_._1)(_._2).map { case (s, vs) => s -> vs.sum / vs.size }
+      val stats = sets.map(s => s -> SetStats(
+        setMean = setMeans.get(s), overallMean = Some(mu), overallSd = Some(sd))).toMap
+      ContributionResult(full, perSet, stats)
     }
-
-    def iScore(excluded: Option[String]): Double =
-      Diversity.cv(byGroup.values.flatMap(cs => groupValue(cs, excluded)))
-
-    val full   = iScore(None)
-    val sets   = grouped.toSeq.flatMap(r => Option(r.getString(colIdx("__l")))).distinct
-    val perSet = sets.map(s => s -> (full - iScore(Some(s)))).toMap
-
-    // Caption stats: a group belongs to the set holding a plurality of its rows.
-    val fullValues = byGroup.values.flatMap(cs => groupValue(cs, None)).toIndexedSeq
-    val mu = if (fullValues.isEmpty) 0.0 else fullValues.sum / fullValues.size
-    val sd = if (fullValues.size < 2) 0.0
-             else math.sqrt(fullValues.map(v => (v - mu) * (v - mu)).sum / (fullValues.size - 1))
-    val setMeans: Map[String, Double] = {
-      val assigned = byGroup.values.toSeq.flatMap { cs =>
-        val dominant = cs.groupMapReduce(_._2.set)(_._2.cnt)(_ + _).maxBy(_._2)._1
-        for { d <- dominant; v <- groupValue(cs, None) } yield d -> v
-      }
-      assigned.groupMap(_._1)(_._2).map { case (s, vs) => s -> vs.sum / vs.size }
-    }
-    val stats = sets.map(s => s -> SetStats(
-      setMean = setMeans.get(s), overallMean = Some(mu), overallSd = Some(sd))).toMap
-    Some(ContributionResult(full, perSet, stats))
   }
 }

@@ -14,19 +14,26 @@ object Diversity {
     * fast path where group aggregates are reconstructed per exclusion).
     */
   def cv(values: Iterable[Double]): Double = {
-    val xs = values.iterator.filterNot(v => v.isNaN || v.isInfinite).toIndexedSeq
-    val n  = xs.size
-    if (n < 2) return 0.0
-    val mean = xs.sum / n
-    if (mean == 0.0) return 0.0
-    val ss = xs.foldLeft(0.0)((acc, x) => acc + (x - mean) * (x - mean))
-    math.sqrt(ss / (n - 1)) / math.abs(mean)
+    val (n, mean, sd) = moments(values)
+    if (n < 2 || mean == 0.0) 0.0 else sd / math.abs(mean)
   }
 
-  /** CV of a dataframe column via one Spark aggregation. */
+  /** Count, mean and sample standard deviation of the finite `values`; the
+    * mean is 0 without values, the deviation 0 with fewer than two.
+    */
+  private[core] def moments(values: Iterable[Double]): (Int, Double, Double) = {
+    val xs   = values.iterator.filterNot(v => v.isNaN || v.isInfinite).toIndexedSeq
+    val n    = xs.size
+    val mean = if (n == 0) 0.0 else xs.sum / n
+    val ss   = xs.foldLeft(0.0)((acc, x) => acc + (x - mean) * (x - mean))
+    (n, mean, if (n < 2) 0.0 else math.sqrt(ss / (n - 1)))
+  }
+
+  /** CV of a dataframe column's finite values via one Spark aggregation. */
   def cv(df: DataFrame, column: String): Double = {
     val r = df
-      .select(col(column).cast("double").as("__v")).na.drop()
+      .select(col(column).cast("double").as("__v"))
+      .where(!isnan(col("__v")) && abs(col("__v")) =!= Double.PositiveInfinity)
       .agg(avg("__v").as("m"), stddev_samp("__v").as("s"), count("__v").as("n"))
       .head()
     if (r.isNullAt(0) || r.isNullAt(1) || r.getLong(2) < 2) 0.0

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import scala.concurrent.{Await, Future}
 import scala.concurrent.duration.Duration
 

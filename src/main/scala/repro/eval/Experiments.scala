@@ -1,9 +1,8 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{Rath, SeeDb}
 import repro.core._
-import repro.data.{BenchQuery, DataScale, Frames, Queries}
+import repro.data.BenchQuery
 
 /** Shared experiment harness: every reproduced table/figure is a function
   * here, called both by the bench suites (`bench/`) and the spark-submit

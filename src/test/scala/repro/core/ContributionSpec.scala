@@ -242,6 +242,73 @@ class ContributionSpec extends SparkSpec with PropChecks {
     }, minTests = 12)
   }
 
+  // ------------------------------- group-by fast == exact on random frames
+
+  private type GroupRow = (Option[String], Option[Int], Option[Double], Option[String])
+
+  /** Group-by inputs (g, k, v, p): a string key g and an int key k, both with
+    * nulls; values v with null, NaN, ±0.0 and ±∞, or only ±1.5 so group
+    * values can have zero mean; p, a non-key column to partition on. One
+    * frame in five holds a single group.
+    */
+  private val groupFrames: Gen[Seq[GroupRow]] = for {
+    oneGroup <- Gen.frequency(4 -> false, 1 -> true)
+    vals     <- Gen.oneOf(Seq(-1.5, 1.5), Seq(Double.NaN, 0.0, -0.0, 1.5, -2.25, 3.0,
+                  Double.PositiveInfinity, Double.NegativeInfinity))
+    n        <- Gen.choose(1, 14)
+    rows     <- Gen.listOfN(n, for {
+                  g <- if (oneGroup) Gen.const(Some("a")) else str("a", "b", "c")
+                  k <- if (oneGroup) Gen.const(Some(1))
+                       else Gen.frequency(1 -> Gen.const(None), 5 -> Gen.choose(0, 2).map(Some(_)))
+                  v <- Gen.frequency(1 -> Gen.const(None), 6 -> Gen.oneOf(vals).map(Some(_)))
+                  p <- str("x", "y", "w")
+                } yield (g, k, v, p))
+  } yield rows
+
+  private val groupAggs = Seq(AggSpec("count", "*", "n_all"), AggSpec("count", "v", "n_v"),
+    AggSpec("sum", "v", "s"), AggSpec("mean", "v", "m"), AggSpec("avg", "v", "a"),
+    AggSpec("max", "v", "mx"), AggSpec("min", "v", "mn"))
+
+  /** Every aggregate, and the int key when grouped on, against the reference;
+    * the caption's overall mean and deviation against the output column.
+    */
+  private def checkGroupBy(rows: Seq[GroupRow], keys: Seq[String], on: String, n: Int): Prop = {
+    import Partition.LabelCol
+    val din    = rows.toDF("g", "k", "v", "p")
+    val step   = Step(Seq(din), GroupByOp(keys, groupAggs))
+    val p      = Partition.frequency(din, on, n)
+    val labels = p.labeled.select(LabelCol).collect().flatMap(r => Option(r.getString(0))).toSet
+    val name   = s"group by ${keys.mkString(",")}, $n sets on $on"
+    (groupAggs.map(_.alias) ++ keys.filter(_ == "k")).map { attr =>
+      val fast   = Contribution.all(step, attr, p).get
+      val wrongC = fast.perSet.toSeq.flatMap { case (s, fc) =>
+        val ec = Contribution.exact(step, attr, p, s).get
+        if (math.abs(fc - ec) < 1e-9) None else Some(s"C($s) fast=$fc exact=$ec")
+      }
+      val fullI = Interestingness.score(step, attr).get
+      val xs = step.output.select(col(attr).cast("double")).collect()
+        .filterNot(_.isNullAt(0)).map(_.getDouble(0)).filterNot(v => v.isNaN || v.isInfinite)
+      val mu = if (xs.isEmpty) 0.0 else xs.sum / xs.length
+      val sd = if (xs.length < 2) 0.0 else math.sqrt(xs.map(x => (x - mu) * (x - mu)).sum / (xs.length - 1))
+      val wrongStats = fast.stats.toSeq.collect {
+        case (s, st) if !st.overallMean.exists(m => math.abs(m - mu) < 1e-9) ||
+                        !st.overallSd.exists(d => math.abs(d - sd) < 1e-9) =>
+          s"stats($s) = ${st.overallMean}, ${st.overallSd}; expected $mu, $sd"
+      }
+      Prop(fast.perSet.keySet == labels) :| s"$name explaining $attr: sets ${fast.perSet.keySet} != $labels" &&
+        Prop(math.abs(fast.full - fullI) < 1e-9) :| s"$name explaining $attr: full ${fast.full} != $fullI" &&
+        Prop(wrongC.isEmpty) :| s"$name explaining $attr: ${wrongC.mkString("; ")}" &&
+        Prop(wrongStats.isEmpty) :| s"$name explaining $attr: ${wrongStats.mkString("; ")}"
+    }.reduce(_ && _)
+  }
+
+  test("group-by fast == exact on random frames: every aggregate and a numeric key") {
+    val keySets = Gen.oneOf(Seq("g"), Seq("k"), Seq("g", "k"))
+    checkProp(Prop.forAllNoShrink(groupFrames, keySets, Gen.oneOf(true, false), Gen.oneOf(2, 4)) {
+      (rows, keys, onKey, n) => checkGroupBy(rows, keys, if (onKey) keys.last else "p", n)
+    }, minTests = 15)
+  }
+
   // --------------------------------------------------------- standardized
 
   test("standardized contribution centres and scales within the partition") {

@@ -45,6 +45,11 @@ class DiversitySpec extends SparkSpec with PropChecks {
     val xs = Seq(1.0, 5.0, 9.0, 2.0, 2.0)
     val df = xs.toDF("v")
     assert(math.abs(Diversity.cv(df, "v") - Diversity.cv(xs)) < 1e-12)
+    // both skip NaN and ±∞
+    Seq(Seq(2.0, 4.0, Double.PositiveInfinity),
+        Seq(2.0, Double.NaN, 4.0, Double.NegativeInfinity, 7.0, Double.PositiveInfinity)).foreach { ys =>
+      assert(math.abs(Diversity.cv(ys.toDF("v"), "v") - Diversity.cv(ys)) < 1e-12, ys)
+    }
   }
 
   test("cv(df) drops nulls") {

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.SparkSpec
-import org.apache.spark.sql.functions._
 
 class InterestingnessSpec extends SparkSpec {
   import spark.implicits._
