@@ -1,28 +1,16 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{DataScale, Frames, Queries}
+import repro.SparkSpec
 import repro.eval.Experiments
 
 /** Figure 8: accuracy of the fixed 5K sample as the Products row count grows.
   * Paper reference point at 3M rows: p@3 = 0.942, KT = 8.1, nDCG = 0.9985.
-  * Row counts here default to {50K, 200K, full bench size}; raise
-  * BENCH_SALES_ROWS to approach the paper's 3M.
+  * Row counts run up to BENCH_SALES_ROWS; raise it to approach the paper's 3M.
   */
-class AccuracyRowsBench extends AnyFunSuite {
-  import BenchData.{cfg, f, f2, spark, table}
+class AccuracyRowsBench extends SparkSpec {
 
   test("Figure 8: 5K-sample accuracy vs row count (Products)") {
-    val sizes = Seq(50000L, 100000L, BenchData.scale.salesRows).distinct
-    val querySets = sizes.map { n =>
-      val fr = new Frames(spark, DataScale(spotifyRows = 1000, bankRows = 1000,
-        productsRows = 9977, salesRows = n))
-      n -> Queries.all(fr).filter(q => Seq(4, 5).contains(q.num))
-    }
-    val rows = Experiments.accuracyVsRows(querySets, cfg)
-    table("Fig 8 | FEDEX-SAMPLING(5K) accuracy vs Products row count",
-      Seq("rows", "precision@3", "kendall-tau", "nDCG", "queries"),
-      rows.map(r => Seq(r.label, f(r.precisionAt3), f2(r.kendallTau), f(r.ndcg), r.queries.toString)))
+    val rows = Experiments.fig8(spark)
     spark.catalog.clearCache()
 
     // accuracy stays high across sizes (paper: flat near-1 curves)

@@ -1,22 +1,16 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.eval.Experiments
 
 /** Tables 2 & 3: all 30 evaluation queries through FEDEX-SAMPLING (5K), one
   * row per query — most interesting column, its score, skyline size, top
   * caption, wall time. Reproduces the Example 3.2/3.10-style numbers.
   */
-class QueryTablesBench extends AnyFunSuite {
-  import BenchData._
+class QueryTablesBench extends SparkSpec {
 
   test("Tables 2 and 3: FEDEX explanations for all 30 queries") {
-    val cfgS = cfg.copy(sampleRows = Some(5000))
-    val rows = Experiments.queryTables(queries, cfgS)
-    table("Tables 2-3 | FEDEX-SAMPLING(5K) over all 30 queries",
-      Seq("q", "dataset", "kind", "top column", "I", "sky", "time(s)", "top explanation"),
-      rows.map(r => Seq(r.num.toString, r.dataset, r.kind, r.topColumn, f(r.topScore),
-        r.skylineSize.toString, f2(r.seconds), r.topCaption.take(110))))
+    val rows = Experiments.tables23(spark)
 
     assert(rows.size === 30)
     // the planted patterns must surface: q6's interestingness peaks on the

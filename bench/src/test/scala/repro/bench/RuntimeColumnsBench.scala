@@ -1,6 +1,6 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.eval.Experiments
 
 /** Figure 9: runtime vs number of columns for FEDEX-SAMPLING(5K) and the
@@ -10,36 +10,21 @@ import repro.eval.Experiments
   * 13.3s/25.1s/RATH-OOM. Our RATH is Spark-backed, so instead of the paper's
   * out-of-memory failure it simply slows down — noted in EXPERIMENTS.md.
   */
-class RuntimeColumnsBench extends AnyFunSuite {
-  import BenchData._
-
-  private val cfgS = cfg.copy(sampleRows = Some(5000))
+class RuntimeColumnsBench extends SparkSpec {
 
   test("Figure 9a: runtime vs columns — Credit Card Customers") {
-    val qs   = Seq(11, 13, 14, 15).map(q)
-    val rows = Experiments.runtimeVsColumns("Bank", qs, Seq(3, 5, 10, 15, 21), cfgS)
-    table("Fig 9a | runtime (s) vs #columns — Bank",
-      Seq("cols", "FEDEX-S", "SEEDB", "RATH"),
-      rows.map(r => Seq(r.nCols.toString, f2(r.fedexSampling), f2(r.seedb), f2(r.rath))))
+    val rows = Experiments.fig9("Bank")(spark)
     assert(rows.last.fedexSampling < 120)
     assert(rows.map(_.fedexSampling).sliding(2).forall(w => w.last > w.head * 0.2)) // roughly growing
   }
 
   test("Figure 9b: runtime vs columns — Spotify") {
-    val qs   = Seq(6, 8, 9).map(q)
-    val rows = Experiments.runtimeVsColumns("Spotify", qs, Seq(3, 5, 10, 15, 20), cfgS)
-    table("Fig 9b | runtime (s) vs #columns — Spotify",
-      Seq("cols", "FEDEX-S", "SEEDB", "RATH"),
-      rows.map(r => Seq(r.nCols.toString, f2(r.fedexSampling), f2(r.seedb), f2(r.rath))))
+    val rows = Experiments.fig9("Spotify")(spark)
     assert(rows.last.fedexSampling < 300)
   }
 
   test("Figure 9c: runtime vs columns — Products and Sales") {
-    val qs   = Seq(4, 5).map(q)
-    val rows = Experiments.runtimeVsColumns("Products", qs, Seq(3, 10, 20, 31), cfgS)
-    table("Fig 9c | runtime (s) vs #columns — Products",
-      Seq("cols", "FEDEX-S", "SEEDB", "RATH"),
-      rows.map(r => Seq(r.nCols.toString, f2(r.fedexSampling), f2(r.seedb), f2(r.rath))))
+    val rows = Experiments.fig9("Products")(spark)
     assert(rows.last.fedexSampling < 600)
   }
 }

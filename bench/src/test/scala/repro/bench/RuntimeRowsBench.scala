@@ -1,7 +1,6 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{DataScale, Frames, Queries}
+import repro.SparkSpec
 import repro.eval.Experiments
 
 /** Figure 10: runtime vs number of rows, FEDEX (exact) vs FEDEX-SAMPLING(5K)
@@ -10,44 +9,24 @@ import repro.eval.Experiments
   * Spotify@174K 1.81s/0.7s/6.4s; Products@10M 62.4s FEDEX-S vs 154.9s SEEDB,
   * RATH OOM.
   */
-class RuntimeRowsBench extends AnyFunSuite {
-  import BenchData._
-
-  private def framesAt(spotify: Long = 1000, bank: Long = 1000, sales: Long = 1000) =
-    new Frames(spark, DataScale(spotifyRows = spotify, bankRows = bank,
-      productsRows = 9977, salesRows = sales))
+class RuntimeRowsBench extends SparkSpec {
 
   test("Figure 10a: runtime vs rows — Credit Card Customers") {
-    val sizes = Seq(2000L, 5000L, 10127L)
-    val sets  = sizes.map(n => n -> Queries.all(framesAt(bank = n)).filter(q => Seq(11, 13, 14).contains(q.num)))
-    val rows  = Experiments.runtimeVsRows("Bank", sets, cfg)
-    table("Fig 10a | runtime (s) vs #rows — Bank",
-      Seq("rows", "FEDEX", "FEDEX-S", "SEEDB", "RATH"),
-      rows.map(r => Seq(r.rows.toString, f2(r.fedex), f2(r.fedexSampling), f2(r.seedb), f2(r.rath))))
+    val rows = Experiments.fig10("Bank")(spark)
     spark.catalog.clearCache()
     assert(rows.forall(_.fedexSampling < 120))
   }
 
   test("Figure 10b: runtime vs rows — Spotify") {
-    val sizes = Seq(20000L, 80000L, scale.spotifyRows).distinct
-    val sets  = sizes.map(n => n -> Queries.all(framesAt(spotify = n)).filter(q => Seq(6, 8).contains(q.num)))
-    val rows  = Experiments.runtimeVsRows("Spotify", sets, cfg)
-    table("Fig 10b | runtime (s) vs #rows — Spotify",
-      Seq("rows", "FEDEX", "FEDEX-S", "SEEDB", "RATH"),
-      rows.map(r => Seq(r.rows.toString, f2(r.fedex), f2(r.fedexSampling), f2(r.seedb), f2(r.rath))))
+    val rows = Experiments.fig10("Spotify")(spark)
     spark.catalog.clearCache()
     // sampling beats (or at worst matches) exact FEDEX at the largest size
     assert(rows.last.fedexSampling <= rows.last.fedex * 1.5)
   }
 
   test("Figure 10c: runtime vs rows — Products and Sales") {
-    val sizes = Seq(50000L, 100000L, scale.salesRows).distinct
-    val sets  = sizes.map(n => n -> Queries.all(framesAt(sales = n)).filter(q => Seq(4, 5).contains(q.num)))
     // exact FEDEX on the largest products view is the expensive point — still run it
-    val rows = Experiments.runtimeVsRows("Products", sets, cfg)
-    table("Fig 10c | runtime (s) vs #rows — Products",
-      Seq("rows", "FEDEX", "FEDEX-S", "SEEDB", "RATH"),
-      rows.map(r => Seq(r.rows.toString, f2(r.fedex), f2(r.fedexSampling), f2(r.seedb), f2(r.rath))))
+    val rows = Experiments.fig10("Products")(spark)
     spark.catalog.clearCache()
     assert(rows.forall(_.fedexSampling < 900))
   }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.eval.Experiments
 
 /** Figure 7: accuracy of FEDEX-SAMPLING vs exact FEDEX (ground truth) as the
@@ -8,24 +8,11 @@ import repro.eval.Experiments
   * nDCG over the full candidate ranking. Paper reference points: p@3 ≥ 93% at
   * 5K; KT 74.8 @50 → 21.6 @5K → 10.8 @50K; nDCG 92.6% @50 → 99.8% @5K.
   */
-class SamplingAccuracyBench extends AnyFunSuite {
-  import BenchData._
+class SamplingAccuracyBench extends SparkSpec {
 
   test("Figure 7: FEDEX-SAMPLING accuracy vs sample size (Spotify + Products)") {
-    // own frames at reduced size: this bench runs 7 full explains per query
-    // (1 exact ground truth + 6 sampled), so the row count is scaled to keep
-    // the suite in minutes; accuracy-vs-sample-size shape is unaffected.
-    import repro.data.{DataScale, Frames, Queries}
-    val fr = new Frames(spark, DataScale(spotifyRows = 80000, bankRows = 10127,
-      productsRows = 9977, salesRows = 80000))
-    val all   = Queries.all(fr)
-    val qs    = Seq(6, 7, 8, 4, 5, 21, 23, 24, 16, 18).map(n => all.find(_.num == n).get)
-    val sizes = Seq(50L, 200L, 1000L, 5000L, 10000L, 50000L)
-    val rows  = Experiments.samplingAccuracy(qs, sizes, cfg)
+    val rows = Experiments.fig7(spark)
     spark.catalog.clearCache()
-    table("Fig 7 | FEDEX-SAMPLING accuracy vs sample size",
-      Seq("sample", "precision@3", "kendall-tau", "nDCG", "queries"),
-      rows.map(r => Seq(r.label, f(r.precisionAt3), f2(r.kendallTau), f(r.ndcg), r.queries.toString)))
 
     val bySize = rows.map(r => r.label.toLong -> r).toMap
     // 5K sample: high precision and nDCG (paper: ≥0.93 and 0.998)

@@ -1,6 +1,6 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.eval.Experiments
 
 /** Figure 11: top raw contribution as the number of sets-of-rows varies, for
@@ -8,21 +8,10 @@ import repro.eval.Experiments
   * clear trend — the optimal n depends on the query and the attribute's
   * values — and recommends small n for readable explanations.
   */
-class SetsOfRowsBench extends AnyFunSuite {
-  import BenchData._
-
-  private val ns = Seq(2, 3, 5, 8, 10, 15, 20)
+class SetsOfRowsBench extends SparkSpec {
 
   test("Figure 11: contribution vs number of sets-of-rows (queries 3 and 7)") {
-    val rows7 = Experiments.setsOfRowsSweep(q(7), ns, cfg.copy(topKColumns = 1))
-    table("Fig 11 | top contribution vs #sets — q7 (Spotify, year>1990)",
-      Seq("n sets", "top C", "top set"),
-      rows7.map(r => Seq(r.n.toString, f(r.topContribution), r.topSet.take(40))))
-
-    val rows3 = Experiments.setsOfRowsSweep(q(3), ns, cfg.copy(topKColumns = 1))
-    table("Fig 11 | top contribution vs #sets — q3 (stores ⋈ sales)",
-      Seq("n sets", "top C", "top set"),
-      rows3.map(r => Seq(r.n.toString, f(r.topContribution), r.topSet.take(40))))
+    val Seq(rows7, _) = Experiments.fig11.map(_(spark))
 
     // contributions are meaningful at every n for the planted-deviation query
     assert(rows7.forall(_.topContribution >= 0.0))

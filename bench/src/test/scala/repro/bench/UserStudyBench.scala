@@ -1,7 +1,7 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.eval.{Experiments, UserProxy}
+import repro.SparkSpec
+import repro.eval.Experiments
 
 /** Figures 3, 5 and 6 — SIMULATED user studies (see DESIGN.md §4: humans are
   * replaced by a planted-insight recovery proxy; EXPERT is an oracle with the
@@ -10,26 +10,10 @@ import repro.eval.{Experiments, UserProxy}
   * RATH 2.8–2.9; FEDEX ≈ 1.7× the baselines. Fig 5: insights with/without
   * FEDEX — Spotify 9.5/2.5, Bank 2.5/1.
   */
-class UserStudyBench extends AnyFunSuite {
-  import BenchData._
-
-  private val methods = Seq("EXPERT", "FEDEX", "FEDEX-SAMPLING", "IO", "SEEDB", "RATH")
-  private val studyQueryNums = UserProxy.planted.map(_.queryNum)
-
-  // own frames with a reduced Products view: the study runs two full FEDEX
-  // explains (exact + sampled) per query per method sweep.
-  private lazy val studyFrames = new repro.data.Frames(spark,
-    repro.data.DataScale(spotifyRows = 80000, bankRows = 10127,
-      productsRows = 9977, salesRows = 60000))
-  private lazy val studyQueries = repro.data.Queries.all(studyFrames)
-  private def sq(num: Int) = studyQueries.find(_.num == num).get
+class UserStudyBench extends SparkSpec {
 
   test("Figures 3/6: simulated study grades per dataset and method") {
-    val qs   = studyQueryNums.map(sq)
-    val rows = Experiments.userStudy(qs, methods, cfg.copy(sampleRows = None))
-    table("Fig 3/6 | simulated 1-7 grades (planted-insight recovery proxy)",
-      Seq("dataset", "method", "grade", "queries"),
-      rows.map(r => Seq(r.dataset, r.method, f2(r.grade), r.queries.toString)))
+    val rows = Experiments.fig3(spark)
 
     def avg(m: String) = { val g = rows.filter(_.method == m).map(_.grade); g.sum / g.size }
     val fedex     = avg("FEDEX")
@@ -44,12 +28,7 @@ class UserStudyBench extends AnyFunSuite {
   }
 
   test("Figure 5: insights with FEDEX assistance vs unassisted EDA (simulated)") {
-    val spotifyQs = Seq(6, 7, 21, 22).map(sq)
-    val bankQs    = Seq(11, 12, 13, 27).map(sq)
-    val rows      = Experiments.insightStudy(spotifyQs, bankQs, cfg.copy(sampleRows = Some(5000)))
-    table("Fig 5 | planted insights recovered (simulated)",
-      Seq("dataset", "assisted (FEDEX-S)", "unassisted"),
-      rows.map(r => Seq(r.dataset, f2(r.assisted), f2(r.unassisted))))
+    val rows = Experiments.fig5(spark)
     rows.foreach(r => assert(r.assisted >= r.unassisted, r.toString))
   }
 }

@@ -1,38 +1,22 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Fedex, FedexConfig}
+import repro.core.Fedex
 import repro.data.{DataScale, Frames, Queries}
-import repro.eval.{Experiments, UserProxy}
+import repro.eval.Experiments
 
-/** Shared bootstrap for the spark-submit entrypoints: one job per reproduced
-  * table/figure (mirrors the bench suites; see DESIGN.md §4).
+/** Explain a single query at bench scale (arg: query number 1-30, default 6).
   *
   * Example:
-  *   spark-submit --class repro.jobs.RunQueryTables target/scala-2.13/repro_2.13-*.jar
+  *   spark-submit --class repro.jobs.ExplainQuery target/scala-2.13/repro_2.13-*.jar 6
   */
-object JobEnv {
-  def spark(app: String): SparkSession =
-    SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-
-  def frames(s: SparkSession): Frames = new Frames(s, DataScale.bench)
-
-  val cfg: FedexConfig = FedexConfig(nSets = Seq(5, 10), topKColumns = 5)
-
-  def row(cells: Seq[String]): Unit = println(cells.mkString(" | "))
-}
-
-/** Explain a single query (arg: query number 1-30, default 6). */
 object ExplainQuery {
   def main(args: Array[String]): Unit = {
-    val s   = JobEnv.spark("fedex-explain")
+    val s   = RunExperiment.spark("fedex-explain")
     val num = args.headOption.map(_.toInt).getOrElse(6)
-    val q   = Queries.all(JobEnv.frames(s)).find(_.num == num)
+    val q   = Queries.all(new Frames(s, DataScale.bench)).find(_.num == num)
       .getOrElse(sys.error(s"no query $num"))
-    val res = Fedex.explain(q.step, JobEnv.cfg)
+    val res = Fedex.explain(q.step, Experiments.cfg)
     println(s"Query $num (${q.dataset}, ${q.kind}): ${q.sqlLike}")
     println("Column interestingness:")
     res.columnScores.toSeq.sortBy(-_._2).foreach { case (a, v) => println(f"  $a%-30s $v%.4f") }
@@ -42,117 +26,37 @@ object ExplainQuery {
   }
 }
 
-/** Tables 2 & 3: all 30 queries through FEDEX-SAMPLING(5K). */
-object RunQueryTables {
-  def main(args: Array[String]): Unit = {
-    val s  = JobEnv.spark("fedex-tables23")
-    val qs = Queries.all(JobEnv.frames(s))
-    Experiments.queryTables(qs, JobEnv.cfg.copy(sampleRows = Some(5000))).foreach(r =>
-      JobEnv.row(Seq(r.num.toString, r.dataset, r.kind, r.topColumn,
-        f"${r.topScore}%.3f", r.skylineSize.toString, f"${r.seconds}%.2f", r.topCaption)))
-    s.stop()
-  }
-}
+/** Run one reproduced table or figure, as defined in `repro.eval.Experiments`,
+  * and print the same table(s) as its bench suite:
+  *
+  *   RunExperiment tables23|fig3|fig5|fig7|fig8|fig9|fig10|fig11 [dataset]
+  *
+  * `fig3` is Figs 3/6. `fig9` and `fig10` print one panel per dataset (Bank,
+  * Spotify, Products), or only the named one.
+  */
+object RunExperiment {
+  def spark(app: String): SparkSession =
+    SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(app)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
 
-/** Figure 7: sampling accuracy vs sample size. */
-object RunSamplingAccuracy {
   def main(args: Array[String]): Unit = {
-    val s  = JobEnv.spark("fedex-fig7")
-    val qs = Queries.all(JobEnv.frames(s)).filter(q => Seq(6, 7, 8, 4, 5, 21, 23, 24, 16, 18).contains(q.num))
-    Experiments.samplingAccuracy(qs, Seq(50L, 200L, 1000L, 5000L, 10000L, 50000L), JobEnv.cfg)
-      .foreach(r => JobEnv.row(Seq(r.label, f"${r.precisionAt3}%.3f", f"${r.kendallTau}%.2f", f"${r.ndcg}%.3f")))
-    s.stop()
-  }
-}
-
-/** Figure 8: 5K-sample accuracy vs Products row count. */
-object RunAccuracyRows {
-  def main(args: Array[String]): Unit = {
-    val s     = JobEnv.spark("fedex-fig8")
-    val sizes = if (args.nonEmpty) args.map(_.toLong).toSeq else Seq(50000L, 200000L, 500000L)
-    val sets = sizes.map { n =>
-      val fr = new Frames(s, DataScale(1000, 1000, 9977, n))
-      n -> Queries.all(fr).filter(q => Seq(4, 5).contains(q.num))
+    def panels(fig: Map[String, Experiments.Figure[_]]) = args.lift(1).fold(fig.values.toSeq)(ds =>
+      Seq(fig.getOrElse(ds, sys.error(s"unknown dataset $ds (one of ${fig.keys.mkString(", ")})"))))
+    val figures: Seq[Experiments.Figure[_]] = args.headOption match {
+      case Some("tables23") => Seq(Experiments.tables23)
+      case Some("fig3")     => Seq(Experiments.fig3)
+      case Some("fig5")     => Seq(Experiments.fig5)
+      case Some("fig7")     => Seq(Experiments.fig7)
+      case Some("fig8")     => Seq(Experiments.fig8)
+      case Some("fig9")     => panels(Experiments.fig9)
+      case Some("fig10")    => panels(Experiments.fig10)
+      case Some("fig11")    => Experiments.fig11
+      case other => sys.error(s"usage: RunExperiment tables23|fig3|fig5|fig7|fig8|fig9|fig10|fig11 [dataset]; got $other")
     }
-    Experiments.accuracyVsRows(sets, JobEnv.cfg)
-      .foreach(r => JobEnv.row(Seq(r.label, f"${r.precisionAt3}%.3f", f"${r.kendallTau}%.2f", f"${r.ndcg}%.3f")))
-    s.stop()
-  }
-}
-
-/** Figure 9: runtime vs column count for one dataset (arg: Bank|Spotify|Products). */
-object RunRuntimeColumns {
-  def main(args: Array[String]): Unit = {
-    val s    = JobEnv.spark("fedex-fig9")
-    val ds   = args.headOption.getOrElse("Bank")
-    val qs   = Queries.all(JobEnv.frames(s))
-    val (sel, cols) = ds match {
-      case "Bank"     => (Seq(11, 13, 14, 15), Seq(3, 5, 10, 15, 21))
-      case "Spotify"  => (Seq(6, 8, 9), Seq(3, 5, 10, 15, 20))
-      case "Products" => (Seq(4, 5), Seq(3, 10, 20, 31))
-      case other      => sys.error(s"unknown dataset $other")
-    }
-    Experiments.runtimeVsColumns(ds, qs.filter(q => sel.contains(q.num)), cols,
-      JobEnv.cfg.copy(sampleRows = Some(5000)))
-      .foreach(r => JobEnv.row(Seq(r.nCols.toString, f"${r.fedexSampling}%.2f", f"${r.seedb}%.2f", f"${r.rath}%.2f")))
-    s.stop()
-  }
-}
-
-/** Figure 10: runtime vs row count for one dataset (arg: Bank|Spotify|Products). */
-object RunRuntimeRows {
-  def main(args: Array[String]): Unit = {
-    val s  = JobEnv.spark("fedex-fig10")
-    val ds = args.headOption.getOrElse("Bank")
-    val (sizes, sel): (Seq[Long], Seq[Int]) = ds match {
-      case "Bank"     => (Seq(2000L, 5000L, 10127L), Seq(11, 13, 14))
-      case "Spotify"  => (Seq(20000L, 80000L, 174389L), Seq(6, 8))
-      case "Products" => (Seq(50000L, 200000L, 500000L), Seq(4, 5))
-      case other      => sys.error(s"unknown dataset $other")
-    }
-    val sets = sizes.map { n =>
-      val scale = ds match {
-        case "Bank"     => DataScale(1000, n, 1000, 1000)
-        case "Spotify"  => DataScale(n, 1000, 1000, 1000)
-        case "Products" => DataScale(1000, 1000, 9977, n)
-      }
-      n -> Queries.all(new Frames(s, scale)).filter(q => sel.contains(q.num))
-    }
-    Experiments.runtimeVsRows(ds, sets, JobEnv.cfg).foreach(r =>
-      JobEnv.row(Seq(r.rows.toString, f"${r.fedex}%.2f", f"${r.fedexSampling}%.2f",
-        f"${r.seedb}%.2f", f"${r.rath}%.2f")))
-    s.stop()
-  }
-}
-
-/** Figure 11: contribution vs number of sets-of-rows (queries 3 and 7). */
-object RunSetsOfRows {
-  def main(args: Array[String]): Unit = {
-    val s  = JobEnv.spark("fedex-fig11")
-    val qs = Queries.all(JobEnv.frames(s))
-    Seq(7, 3).foreach { num =>
-      println(s"query $num:")
-      Experiments.setsOfRowsSweep(qs.find(_.num == num).get, Seq(2, 3, 5, 8, 10, 15, 20),
-        JobEnv.cfg.copy(topKColumns = 1))
-        .foreach(r => JobEnv.row(Seq(r.n.toString, f"${r.topContribution}%.4f", r.topSet)))
-    }
-    s.stop()
-  }
-}
-
-/** Figures 3/5/6: the simulated user study. */
-object RunUserStudy {
-  def main(args: Array[String]): Unit = {
-    val s  = JobEnv.spark("fedex-userstudy")
-    val qs = Queries.all(JobEnv.frames(s))
-    val studyQs = UserProxy.planted.map(p => qs.find(_.num == p.queryNum).get)
-    Experiments.userStudy(studyQs, Seq("EXPERT", "FEDEX", "FEDEX-SAMPLING", "IO", "SEEDB", "RATH"), JobEnv.cfg)
-      .foreach(r => JobEnv.row(Seq(r.dataset, r.method, f"${r.grade}%.2f")))
-    Experiments.insightStudy(
-      Seq(6, 7, 21, 22).map(n => qs.find(_.num == n).get),
-      Seq(11, 12, 13, 27).map(n => qs.find(_.num == n).get),
-      JobEnv.cfg.copy(sampleRows = Some(5000)))
-      .foreach(r => JobEnv.row(Seq(r.dataset, f"${r.assisted}%.1f", f"${r.unassisted}%.1f")))
+    val s = spark(s"fedex-${args.head}")
+    figures.foreach(_(s))
     s.stop()
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Interestingness, Step}
+import repro.core.{FedexConfig, Interestingness, Step}
 
 /** The IO ("Interestingness Only") baseline of §4.1, following [79]: the
   * influence of an attribute is the interestingness of that attribute in
@@ -14,8 +14,8 @@ object InterestingnessOnly {
     def caption: String = f"Column '$attr' is interesting in the result (score $score%.3f)"
   }
 
-  def explain(step: Step, k: Int = 3, maxBins: Int = 1024): Seq[IoExplanation] =
-    Interestingness.scores(step, step.outputAttrs, maxBins)
+  def explain(step: Step, k: Int = 3): Seq[IoExplanation] =
+    Interestingness.scores(step, step.outputAttrs, FedexConfig().maxBins)
       .toSeq.sortBy { case (a, s) => (-s, a) }
       .take(k)
       .map { case (a, s) => IoExplanation(a, s) }

@@ -27,10 +27,9 @@ final case class RathInsight(kind: String, dim: String, measure: String,
   */
 object Rath {
 
-  def topInsights(df: DataFrame, k: Int = 3, maxDims: Int = 12,
-                  maxMeasures: Int = 12, maxDistinct: Int = 100): Seq[RathInsight] = {
-    val dims = SeeDb.dimensions(df, maxDistinct, maxDims)
-    val ms   = SeeDb.measures(df, maxMeasures)
+  def topInsights(df: DataFrame, k: Int = 3): Seq[RathInsight] = {
+    val dims = SeeDb.dimensions(df, maxDistinct = 100, maxDims = 12)
+    val ms   = SeeDb.measures(df, maxMeasures = 12)
     val insights = dims.flatMap { d =>
       val exprs = ms.map(m => avg(col(m).cast("double")).as(s"avg__$m")) :+ count(lit(1)).as("__cnt")
       val rows  = df.groupBy(col(d).cast("string").as("__g")).agg(exprs.head, exprs.tail: _*).collect()

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{JoinOp, Ks, Partition, Step}
+import repro.core.{GroupByOp, JoinOp, Ks, Partition, Step}
 
 /** One recommended visualization: group by `dim`, aggregate `agg(measure)`,
   * scored by the deviation of the target view from the reference view.
@@ -50,22 +50,20 @@ object SeeDb {
     * output's naming) vs the output projected to the left columns.
     */
   def framePair(step: Step): Option[(DataFrame, DataFrame)] = step.op match {
-    case _: JoinOp =>
-      val j   = step.op.asInstanceOf[JoinOp]
+    case j: JoinOp =>
       val ref = step.inputs.head.select(
         step.inputs.head.columns.map(c => col(c).as(j.leftPrefix + c)).toSeq: _*)
       val tgt = step.output.select(ref.columns.map(col).toSeq: _*)
       Some(ref -> tgt)
-    case op if op.kind == "groupby" => None
+    case _: GroupByOp => None
     case _ => Some(step.inputs.head -> step.output)
   }
 
   /** Top-k views for a step; None for group-by steps (not applicable). */
-  def recommend(step: Step, k: Int = 3, maxDims: Int = 12,
-                maxMeasures: Int = 12, maxDistinct: Int = 60): Option[Seq[SeeDbView]] =
+  def recommend(step: Step, k: Int = 3): Option[Seq[SeeDbView]] =
     framePair(step).map { case (ref, tgt) =>
-      val dims = dimensions(ref, maxDistinct, maxDims)
-      val ms   = measures(ref, maxMeasures)
+      val dims = dimensions(ref, maxDistinct = 60, maxDims = 12)
+      val ms   = measures(ref, maxMeasures = 12)
       val views = dims.flatMap { d =>
         val exprs = ms.flatMap(m => Seq(
           avg(col(m).cast("double")).as(s"avg__$m"),

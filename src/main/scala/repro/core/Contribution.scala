@@ -21,14 +21,18 @@ final case class SetStats(inShare: Option[Double] = None, outShare: Option[Doubl
   */
 final case class ContributionResult(full: Double, perSet: Map[String, Double],
                                     stats: Map[String, SetStats]) {
-  /** Standardized contribution C̄ (§3.6) of each set, w.r.t. its partition. */
+  /** Standardized contribution C̄ (§3.6) of each set, w.r.t. its partition.
+    * It is 0 for every set when the partition has a single set, or when the
+    * C values differ only by rounding: a sample deviation
+    * `sd <= 1e-12 * max(1, max |C|)` counts as zero.
+    */
   lazy val standardized: Map[String, Double] = {
     val vs = perSet.values.toIndexedSeq
     if (vs.size < 2) perSet.map { case (k, _) => k -> 0.0 }
     else {
       val mu = vs.sum / vs.size
       val sd = math.sqrt(vs.map(v => (v - mu) * (v - mu)).sum / (vs.size - 1))
-      if (sd == 0.0) perSet.map { case (k, _) => k -> 0.0 }
+      if (sd <= 1e-12 * math.max(1.0, vs.map(math.abs).max)) perSet.map { case (k, _) => k -> 0.0 }
       else perSet.map { case (k, v) => k -> (v - mu) / sd }
     }
   }

@@ -51,7 +51,6 @@ final case class FedexResult(columnScores: Map[String, Double],
   /** All candidates ranked by the weighted score (used by accuracy metrics). */
   def rankedKeys(wI: Double = 1.0, wC: Double = 1.0): Seq[String] =
     candidates.sortBy(c => (-c.weightedScore(wI, wC), c.key)).map(_.key)
-  def top(k: Int): Seq[Explanation] = skyline.take(k)
 }
 
 /** FEDEX explanation generation (paper Algorithm 1). */
@@ -124,7 +123,7 @@ object Fedex {
               ExplanationCandidate(
                 attr = a, measure = measure, method = p.method,
                 partitionAttr = p.attr, labelAttr = p.labelAttr, set = set,
-                interestingness = columnScores.getOrElse(a, res.full),
+                interestingness = columnScores(a),
                 contribution = c, stdContribution = std(set),
                 stats = res.stats.getOrElse(set, SetStats()))
           }

@@ -66,13 +66,14 @@ final case class GroupByOp(keys: Seq[String], aggs: Seq[AggSpec]) extends EdaOp 
   override def kind: String = "groupby"
 }
 
-/** Equi-join of two inputs. All data columns are prefixed so every output
-  * attribute unambiguously names its source input (`inputOf`); the partition
-  * label column is passed through un-prefixed.
+/** Inner equi-join of two inputs. All data columns are prefixed so every
+  * output attribute unambiguously names its source input (`inputOf`); the
+  * partition label column is passed through un-prefixed. Inner, because every
+  * output row must descend from one row of each input: the provenance that
+  * `Step.sources` and contribution rely on.
   */
 final case class JoinOp(leftKey: String, rightKey: String,
-                        leftPrefix: String, rightPrefix: String,
-                        joinType: String = "inner") extends EdaOp {
+                        leftPrefix: String, rightPrefix: String) extends EdaOp {
   require(leftPrefix.nonEmpty && rightPrefix.nonEmpty && leftPrefix != rightPrefix,
     "join prefixes must be non-empty and distinct")
   require(!leftPrefix.startsWith(rightPrefix) && !rightPrefix.startsWith(leftPrefix),
@@ -85,7 +86,7 @@ final case class JoinOp(leftKey: String, rightKey: String,
     require(inputs.size == 2, s"join takes two inputs, got ${inputs.size}")
     val l = prefixed(inputs(0), leftPrefix)
     val r = prefixed(inputs(1), rightPrefix)
-    l.join(r, l(leftPrefix + leftKey) === r(rightPrefix + rightKey), joinType)
+    l.join(r, l(leftPrefix + leftKey) === r(rightPrefix + rightKey))
   }
 
   /** Which input (0=left, 1=right) and original column name a prefixed output

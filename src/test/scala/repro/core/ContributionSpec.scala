@@ -324,6 +324,9 @@ class ContributionSpec extends SparkSpec with PropChecks {
     assert(ContributionResult(0.1, Map("a" -> 0.4), Map.empty).standardized("a") === 0.0)
     val r = ContributionResult(0.1, Map("a" -> 0.2, "b" -> 0.2), Map.empty)
     assert(r.standardized.values.forall(_ === 0.0))
+    // C values one ulp apart differ only by rounding
+    val ulp = ContributionResult(0.1, Map("a" -> 0.3, "b" -> 0.3, "c" -> math.nextUp(0.3), "d" -> 0.3), Map.empty)
+    assert(ulp.standardized.values.forall(_ === 0.0), ulp.standardized)
   }
 
   // -------------------------------------------------------------- stats
