@@ -1,6 +1,6 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
+import repro.Session
 import repro.core.Fedex
 import repro.data.{DataScale, Frames, Queries}
 import repro.eval.Experiments
@@ -12,7 +12,7 @@ import repro.eval.Experiments
   */
 object ExplainQuery {
   def main(args: Array[String]): Unit = {
-    val s   = RunExperiment.spark("fedex-explain")
+    val s   = Session.local("fedex-explain")
     val num = args.headOption.map(_.toInt).getOrElse(6)
     val q   = Queries.all(new Frames(s, DataScale.bench)).find(_.num == num)
       .getOrElse(sys.error(s"no query $num"))
@@ -35,12 +35,6 @@ object ExplainQuery {
   * Spotify, Products), or only the named one.
   */
 object RunExperiment {
-  def spark(app: String): SparkSession =
-    SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-
   def main(args: Array[String]): Unit = {
     def panels(fig: Map[String, Experiments.Figure[_]]) = args.lift(1).fold(fig.values.toSeq)(ds =>
       Seq(fig.getOrElse(ds, sys.error(s"unknown dataset $ds (one of ${fig.keys.mkString(", ")})"))))
@@ -55,7 +49,7 @@ object RunExperiment {
       case Some("fig11")    => Experiments.fig11
       case other => sys.error(s"usage: RunExperiment tables23|fig3|fig5|fig7|fig8|fig9|fig10|fig11 [dataset]; got $other")
     }
-    val s = spark(s"fedex-${args.head}")
+    val s = Session.local(s"fedex-${args.head}")
     figures.foreach(_(s))
     s.stop()
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{Column, DataFrame, Row}
 
 /** Numbers attached to each set-of-rows for caption generation (§3.7).
   *
@@ -42,10 +42,10 @@ final case class ContributionResult(full: Double, perSet: Map[String, Double],
   * `C(R,A,Q) = I_A(D_in, q, d_out) − I_A(D_in − R, q, d'_out)`.
   *
   * `exact` is the literal interventional semantics (re-run q per exclusion) —
-  * the reference used in tests. `all` is the production path: one Spark
-  * aggregation produces per-(set, value) cells from which the score of
-  * *every* exclusion is reconstructed on the driver, because each output row
-  * descends from exactly one (partitioned) input row.
+  * the reference used in tests. `all` and `exceptionality` are the
+  * production path: one Spark aggregation produces per-(set, value) cells
+  * from which the score of *every* exclusion is reconstructed on the driver,
+  * because each output row descends from exactly one (partitioned) input row.
   */
 object Contribution {
   import Partition.LabelCol
@@ -67,56 +67,71 @@ object Contribution {
           labeledIdx: Int = 0, maxBins: Int = 1024): Option[ContributionResult] =
     step.op match {
       case g: GroupByOp => groupByPath(step, g, attr, partition)
-      case _            => exceptionality(step, attr, partition, labeledIdx, maxBins)
+      case _ =>
+        exceptionality(step, attr, Seq(partition), labeledIdx,
+          { case (i, c) => Ks.keyExpr(step.inputs(i), c, maxBins) }).headOption
     }
 
   // ------------------------------------------------------ exceptionality path
 
   /** Filter, join and union: I = max over `step.sources(attr)` of KS(source,
     * output), for the full data and for every exclusion; C = I_full − I_excl.
+    * Returns one result per partition of `parts` (all on input `labeledIdx`),
+    * none when `attr` has no source. `keyOf` gives the KS key space of an
+    * (input, column): the partitioned input's when it is a source, else the
+    * first source's.
     *
-    * One aggregation counts rows per (set, key) on every side: each source
-    * input (the partitioned one carries its labels, the others a null label)
-    * and the output re-applied to the partitioned input, which keeps the
-    * label. Removing a set removes its cells from the partitioned input and
-    * the output, and no others, so the driver scores every exclusion from
-    * these counts.
+    * One aggregation counts rows per (partition, set, key) on every side:
+    * each source input (the partitioned one carries its labels, the others a
+    * null label) and the output re-applied to the partitioned input, which
+    * keeps the label. Removing a set removes its cells from the partitioned
+    * input and the output, and no others, so the driver scores every
+    * exclusion of every partition from these counts.
     */
-  private def exceptionality(step: Step, attr: String, partition: RowPartition,
-                             labeledIdx: Int, maxBins: Int): Option[ContributionResult] = {
+  private[core] def exceptionality(step: Step, attr: String, parts: Seq[RowPartition], labeledIdx: Int,
+                                   keyOf: ((Int, String)) => Ks.KeySpace): Seq[ContributionResult] = {
     val sources = step.sources(attr)
-    if (sources.isEmpty) return None
+    if (sources.isEmpty || parts.isEmpty) return Seq.empty
     val labeledSide = sources.indexWhere(_._1 == labeledIdx) // -1: not a source
-    // the key space of the partitioned input when it is a source, else of the first
-    val (keyIdx, keyCol) = sources(labeledSide max 0)
-    val (key, numeric) = Ks.keyExpr(step.inputs(keyIdx), keyCol, maxBins)
+    val Ks.KeySpace(key, numeric) = keyOf(sources(labeledSide max 0))
     val outSide = sources.size // the output's count follows the sources'
     // A filter's output rows are a subset of its input rows: one scan of the
     // labeled input counts both sides, where a tagged union would read it twice.
-    val (tagged, counts) = step.op match {
+    val (tagged, counts): (RowPartition => DataFrame, Seq[Column]) = step.op match {
       case FilterOp(pred) =>
-        (partition.labeled.select(col(LabelCol), key(col(attr)), expr(pred)),
+        (_.labeled.select(col(LabelCol), key(col(attr)), expr(pred)),
           Seq(count(lit(1)), count_if(col("__s"))))
       case _ =>
-        val ins = step.inputs.updated(labeledIdx, partition.labeled)
-        val sides = sources.map { case (i, c) =>
-          ins(i).select(if (i == labeledIdx) col(LabelCol) else lit(null).cast("string"), key(col(c)))
-        } :+ step.reapply(ins).select(col(LabelCol), key(col(attr)))
-        (sides.zipWithIndex.map { case (df, j) => df.withColumn("__s", lit(j)) }.reduce(_.unionAll(_)),
-          sides.indices.map(j => count_if(col("__s") === j)))
+        (p => {
+          val ins = step.inputs.updated(labeledIdx, p.labeled)
+          val sides = sources.map { case (i, c) =>
+            ins(i).select(if (i == labeledIdx) col(LabelCol) else lit(null).cast("string"), key(col(c)))
+          } :+ step.reapply(ins).select(col(LabelCol), key(col(attr)))
+          sides.zipWithIndex.map { case (df, j) => df.withColumn("__s", lit(j)) }.reduce(_.unionAll(_))
+        }, (0 to outSide).map(j => count_if(col("__s") === j)))
     }
-    val rows = tagged.toDF("__l", "__k", "__s").groupBy("__l", "__k")
-      .agg(counts.head, counts.tail: _*).collect()
+    val rows = parts.zipWithIndex
+      .map { case (p, i) => tagged(p).toDF("__l", "__k", "__s").withColumn("__p", lit(i)) }
+      .reduce(_.unionAll(_))
+      .groupBy("__p", "__l", "__k").agg(counts.head, counts.tail: _*).collect()
+      .groupBy(_.getInt(0))
+    parts.indices.map(i => scoreSets(rows.getOrElse(i, Array.empty).toSeq, outSide, labeledSide, numeric))
+  }
+
+  /** One partition's contributions from its (partition, set, key, count per
+    * side) rows: `sides` source sides, then the output.
+    */
+  private def scoreSets(rows: Seq[Row], sides: Int, labeledSide: Int, numeric: Boolean): ContributionResult = {
     // (set, key, count per side); a null key only counts toward the shares
-    val cells = rows.toSeq.map { r =>
-      (Option(r.getString(0)), Option(r.getString(1)), (0 to outSide).map(j => r.getLong(2 + j)))
+    val cells = rows.map { r =>
+      (Option(r.getString(1)), Option(r.getString(2)), (0 to sides).map(j => r.getLong(3 + j)))
     }
     val keyed = cells.collect { case (l, Some(k), cs) => (l, k, cs) }
 
     def iScore(excluded: Option[String]): Double = {
       val live = keyed.filter(c => excluded.isEmpty || c._1 != excluded)
       def side(j: Int) = live.map { case (_, k, cs) => k -> cs(j) }
-      sources.indices.map(j => Ks.fromCounts(side(j), side(outSide), numeric)).max
+      (0 until sides).map(j => Ks.fromCounts(side(j), side(sides), numeric)).max
     }
     /** Set `s`'s share of side `j`'s rows, null keys included. */
     def share(j: Int, s: String): Option[Double] = {
@@ -128,8 +143,8 @@ object Contribution {
     val sets   = keyed.flatMap(_._1).distinct
     val perSet = sets.map(s => s -> (full - iScore(Some(s)))).toMap
     val stats  = sets.map(s => s -> SetStats(
-      inShare = if (labeledSide < 0) None else share(labeledSide, s), outShare = share(outSide, s))).toMap
-    Some(ContributionResult(full, perSet, stats))
+      inShare = if (labeledSide < 0) None else share(labeledSide, s), outShare = share(sides, s))).toMap
+    ContributionResult(full, perSet, stats)
   }
 
   // ---------------------------------------------------------- group-by path

@@ -82,24 +82,33 @@ object Fedex {
     val measure = if (step.op.kind == "groupby") "diversity" else "exceptionality"
 
     // Everything below runs on one pool as composed futures, so no pool
-    // thread waits on another: each input's profile (for many-to-one mining)
-    // while the columns are scored, then each target's partitions, then the
-    // contribution of each (column, partition) pair as soon as its target is
-    // built.
+    // thread waits on another: each input's profile and the full inputs' KS
+    // key spaces while the columns are scored, then each target's
+    // partitions, then the contributions to each (column, target) as soon
+    // as the target is built.
     val (columnScores, scored) = Scoring.withPool { implicit ec =>
-      val profiles: Map[Int, Future[Option[Partition.Profile]]] =
-        step.outputAttrs.flatMap(partitionTargets(step, _)).map(_._1).distinct.map { idx =>
-          idx -> (if (cfg.enableManyToOne) Future(Some(Partition.profile(step.inputs(idx))))
-                  else Future.successful(None))
-        }.toMap
-
-      // Lines 1-2 (+ sampling optimization): per-column interestingness.
       val attrs = cfg.userColumns.getOrElse {
         val excluded = excludedAttrs(step)
         step.outputAttrs.filterNot(excluded)
       }
-      val columnScores =
-        Interestingness.scores(step, attrs, cfg.maxBins, cfg.sampleRows, cfg.seed)
+      val keyColumns = Interestingness.keyColumns(step, attrs)
+
+      // One profile per input: the many-to-one pre-filter of its targets and
+      // the distinct counts of its key spaces.
+      val profiles: Map[Int, Future[Partition.Profile]] =
+        ((if (cfg.enableManyToOne) step.outputAttrs.flatMap(partitionTargets(step, _)).map(_._1)
+          else Seq.empty) ++ keyColumns.keys).distinct
+          .map(idx => idx -> Future(Partition.profile(step.inputs(idx)))).toMap
+      // The full inputs' key spaces, once per (input, column): read by the
+      // exact interestingness and by every contribution query.
+      val fullKeys: Future[Interestingness.KeySpaces] =
+        Future.traverse(keyColumns.keys.toSeq)(i => profiles(i).map(i -> _)).map { known =>
+          Interestingness.keySpaces(step, step.inputs, attrs, cfg.maxBins, known.toMap)
+        }
+
+      // Lines 1-2 (+ sampling optimization): per-column interestingness.
+      val columnScores = Interestingness.scores(step, attrs, cfg.maxBins, cfg.sampleRows, cfg.seed,
+        Await.result(fullKeys, Duration.Inf))
       val topCols = columnScores.toSeq.sortBy { case (a, s) => (-s, a) }
         .take(cfg.topKColumns).map(_._1)
 
@@ -107,32 +116,41 @@ object Fedex {
       val targets: Seq[(Int, String)] = topCols.flatMap(partitionTargets(step, _)).distinct
       val partitionsByTarget: Map[(Int, String), Future[Seq[RowPartition]]] =
         targets.map { case (idx, pattr) =>
-          (idx, pattr) -> profiles(idx).map { prof =>
+          val profile = if (cfg.enableManyToOne) profiles(idx).map(Some(_)) else Future.successful(None)
+          (idx, pattr) -> profile.map { prof =>
             val parts = Partition.candidatesMulti(step.inputs(idx), pattr, cfg.nSets, prof)
             // identical partitions (e.g. n=5 and n=10 over a 3-value column) dedupe
             parts.groupBy(p => (p.method, p.labelAttr, p.sets)).values.map(_.head).toSeq
           }
         }.toMap
 
-      // Lines 7-12: contributions for each (partition, column) pair.
-      def contributions(a: String, idx: Int, p: RowPartition): Seq[ExplanationCandidate] =
-        Contribution.all(step, a, p, idx, cfg.maxBins).toSeq.flatMap { res =>
-          val std = res.standardized
-          res.perSet.toSeq.collect {
-            case (set, c) if c > 0 =>
-              ExplanationCandidate(
-                attr = a, measure = measure, method = p.method,
-                partitionAttr = p.attr, labelAttr = p.labelAttr, set = set,
-                interestingness = columnScores(a),
-                contribution = c, stdContribution = std(set),
-                stats = res.stats.getOrElse(set, SetStats()))
-          }
+      // Lines 7-12: contributions for each (partition, column) pair: one
+      // query per (column, target) for exceptionality, one per pair for
+      // group-by.
+      def candidates(a: String, p: RowPartition, res: ContributionResult): Seq[ExplanationCandidate] = {
+        val std = res.standardized
+        res.perSet.toSeq.collect {
+          case (set, c) if c > 0 =>
+            ExplanationCandidate(
+              attr = a, measure = measure, method = p.method,
+              partitionAttr = p.attr, labelAttr = p.labelAttr, set = set,
+              interestingness = columnScores(a),
+              contribution = c, stdContribution = std(set),
+              stats = res.stats.getOrElse(set, SetStats()))
         }
+      }
       val pairs = Future.traverse(topCols.flatMap { a =>
         (if (cfg.crossColumns) targets else partitionTargets(step, a)).map(a -> _)
       }) { case (a, (idx, pattr)) =>
         partitionsByTarget(idx -> pattr).flatMap { parts =>
-          Future.traverse(parts)(p => Future((a, p, contributions(a, idx, p))))
+          val results: Future[Seq[(RowPartition, ContributionResult)]] = step.op match {
+            case _: GroupByOp =>
+              Future.traverse(parts)(p => Future(Contribution.all(step, a, p, idx, cfg.maxBins).map(p -> _)))
+                .map(_.flatten)
+            case _ =>
+              fullKeys.map(keys => parts.zip(Contribution.exceptionality(step, a, parts, idx, keys)))
+          }
+          results.map(_.map { case (p, res) => (a, p, candidates(a, p, res)) })
         }
       }
       (columnScores, Await.result(pairs, Duration.Inf).flatten)

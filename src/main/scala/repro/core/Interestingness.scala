@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import java.util.concurrent.{Executors, ThreadFactory}
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
@@ -29,53 +30,112 @@ object Sampling {
   * for filter/join/union, CV diversity for group-by.
   */
 object Interestingness {
+  import Partition.LabelCol
 
-  /** Score a single output attribute. Returns None when the measure does not
-    * apply (diversity over a non-numeric column, an attribute with no source
-    * column, the synthetic partition label).
+  /** KS key spaces by (input index, input column). */
+  private[core] type KeySpaces = Map[(Int, String), Ks.KeySpace]
+
+  /** Score a single output attribute, one Spark query per source: the
+    * per-column reference behind `Contribution.exact`. Returns None when the
+    * measure does not apply (diversity over a non-numeric column, an
+    * attribute with no source column, the synthetic partition label).
     */
   def score(step: Step, attr: String, maxBins: Int = 1024): Option[Double] =
-    scoreAgainst(step, step.inputs, step.output, attr, maxBins)
-
-  /** As `score`, but over explicitly supplied (possibly sampled) input and
-    * output dataframes. Exceptionality is the max KS over `Step.sources`. The
-    * KS key space comes from `ins`, so a sampled run bucketises on the sample,
-    * not on the full inputs.
-    */
-  def scoreAgainst(step: Step, ins: Seq[DataFrame], out: DataFrame, attr: String,
-                   maxBins: Int): Option[Double] = {
-    if (attr == Partition.LabelCol) return None
-    step.op match {
-      case _: GroupByOp =>
-        if (Ks.isNumeric(out, attr)) Some(Diversity.cv(out, attr)) else None
+    if (attr == LabelCol) None
+    else step.op match {
+      case _: GroupByOp => diversity(step.output, attr)
       case _ =>
         step.sources(attr).map { case (idx, orig) =>
-          Ks.statistic(ins(idx).withColumnRenamed(orig, attr), out, attr, maxBins)
+          Ks.statistic(step.inputs(idx).withColumnRenamed(orig, attr), step.output, attr, maxBins)
         }.maxOption
     }
-  }
 
-  /** Scores for every output attribute of the step. With `sampleRows` set,
-    * implements FEDEX-SAMPLING: inputs are uniformly sampled, the operation is
-    * re-applied to the sample, and scores are computed on the sampled pair.
-    * Columns are scored concurrently (Spark schedules the small jobs in
-    * parallel on the local cluster).
+  private def diversity(out: DataFrame, attr: String): Option[Double] =
+    Option.when(Ks.isNumeric(out, attr))(Diversity.cv(out, attr))
+
+  /** Scores for every output attribute of the step, as `score` gives them.
+    * With `sampleRows` set, implements FEDEX-SAMPLING: inputs are uniformly
+    * sampled, the operation is re-applied to the sample, and scores are
+    * computed on the sampled pair, with KS key spaces taken from the sample.
+    * Exceptionality scores every column in one aggregation; group-by columns
+    * are scored concurrently.
     */
   def scores(step: Step, attrs: Seq[String], maxBins: Int = 1024,
-             sampleRows: Option[Long] = None, seed: Long = 42): Map[String, Double] = {
-    val (ins, out) = sampleRows match {
-      case None => (step.inputs, step.output)
-      case Some(k) =>
-        val sampled = step.inputs.map(in => Sampling.uniform(in, k, seed).cache())
-        val o       = step.reapply(sampled).cache()
-        (sampled, o)
+             sampleRows: Option[Long] = None, seed: Long = 42): Map[String, Double] =
+    scores(step, attrs, maxBins, sampleRows, seed, keySpaces(step, step.inputs, attrs, maxBins, Map.empty))
+
+  /** `scores`, reading the full inputs' key spaces from `fullKeys` when it
+    * scores the full data.
+    */
+  private[core] def scores(step: Step, attrs: Seq[String], maxBins: Int, sampleRows: Option[Long],
+                           seed: Long, fullKeys: => KeySpaces): Map[String, Double] = {
+    val sampled = sampleRows.map(k => step.inputs.map(Sampling.uniform(_, k, seed)))
+    // Only frames this call made are cached and unpersisted: an input within
+    // the cap comes back as the caller's own frame, and with every input
+    // kept, the re-applied output would have the plan of `step.output`.
+    val drawn = sampled.toSeq.flatMap(_.zip(step.inputs).collect { case (s, in) if s ne in => s })
+    val (ins, out) = sampled match {
+      case Some(s) if drawn.nonEmpty => (s, step.reapply(s))
+      case _                         => (step.inputs, step.output)
     }
-    val res = Scoring.withPool { implicit ec =>
-      val futures = attrs.map(a => Future(a -> scoreAgainst(step, ins, out, a, maxBins)))
-      Await.result(Future.sequence(futures), Duration.Inf)
-    }.collect { case (a, Some(s)) => a -> s }.toMap
-    if (sampleRows.isDefined) { ins.foreach(_.unpersist()); out.unpersist() }
-    res
+    val cached = if (drawn.isEmpty) Seq.empty else drawn :+ out
+    cached.foreach(_.cache())
+    try step.op match {
+      case _: GroupByOp =>
+        Scoring.withPool { implicit ec =>
+          val futures = attrs.filterNot(_ == LabelCol).map(a => Future(a -> diversity(out, a)))
+          Await.result(Future.sequence(futures), Duration.Inf)
+        }.collect { case (a, Some(s)) => a -> s }.toMap
+      case _ =>
+        exceptionality(step, ins, out, attrs,
+          if (drawn.isEmpty) fullKeys else keySpaces(step, ins, attrs, maxBins, Map.empty))
+    } finally cached.foreach(_.unpersist())
+  }
+
+  /** The input columns whose KS key spaces scoring `attrs` reads, by input:
+    * the sources of every attribute (none for group-by).
+    */
+  private[core] def keyColumns(step: Step, attrs: Seq[String]): Map[Int, Seq[String]] =
+    attrs.filterNot(_ == LabelCol).flatMap(step.sources).distinct.groupMap(_._1)(_._2)
+
+  /** The key space of every column `keyColumns` names, read from `ins`, one
+    * `Ks.keySpaces` per input; `known` holds distinct counts by input.
+    */
+  private[core] def keySpaces(step: Step, ins: Seq[DataFrame], attrs: Seq[String], maxBins: Int,
+                              known: Map[Int, Map[String, Long]]): KeySpaces =
+    keyColumns(step, attrs).flatMap { case (i, cols) =>
+      Ks.keySpaces(ins(i), cols, maxBins, known.getOrElse(i, Map.empty)).map { case (c, k) => (i, c) -> k }
+    }
+
+  /** Exceptionality of every attribute of `attrs`, from one aggregation.
+    * Each (attribute, source) comparison gets an index; every input emits
+    * the (index, key) pairs of its own comparisons, the output those of all;
+    * one `groupBy(index, key)` counts both sides. The driver takes the KS
+    * statistic of each comparison and the max per attribute.
+    */
+  private def exceptionality(step: Step, ins: Seq[DataFrame], out: DataFrame, attrs: Seq[String],
+                             keys: KeySpaces): Map[String, Double] = {
+    final case class Comparison(attr: String, input: Int, column: String, space: Ks.KeySpace)
+    val cmps = attrs.distinct.filterNot(_ == LabelCol)
+      .flatMap(a => step.sources(a).map { case (i, c) => Comparison(a, i, c, keys((i, c))) })
+    if (cmps.isEmpty) return Map.empty
+    // (index, key) of each row of `df` for the comparisons `js`, whose column in `df` is `column`
+    def emit(df: DataFrame, side: Int, js: Seq[Int], column: Comparison => String): DataFrame = {
+      val pairs = js.map(j => struct(lit(j).as("j"), cmps(j).space.key(col(column(cmps(j)))).as("k")))
+      df.select(explode(array(pairs: _*)).as("t")).select(col("t.j"), col("t.k"), lit(side).as("s"))
+    }
+    val sides = ins.indices.flatMap { i =>
+      val own = cmps.indices.filter(cmps(_).input == i)
+      Option.when(own.nonEmpty)(emit(ins(i), 0, own, _.column))
+    } :+ emit(out, 1, cmps.indices, _.attr)
+    val cells = sides.reduce(_.unionAll(_)).where(col("k").isNotNull)
+      .groupBy("j", "k").agg(count_if(col("s") === 0), count_if(col("s") === 1))
+      .collect().groupBy(_.getInt(0))
+    cmps.zipWithIndex.map { case (cmp, j) =>
+      val cs = cells.getOrElse(j, Array.empty)
+      cmp.attr -> Ks.fromCounts(cs.map(r => r.getString(1) -> r.getLong(2)),
+        cs.map(r => r.getString(1) -> r.getLong(3)), cmp.space.numeric)
+    }.groupMapReduce(_._1)(_._2)(math.max)
   }
 }
 

@@ -10,8 +10,8 @@ import org.apache.spark.sql.types._
   * aggregation over the tagged union of both sides; the final sup-norm over
   * the two empirical CDFs is a linear driver pass over the (bounded) set of
   * distinct keys. Numeric columns whose distinct count exceeds `maxBins` are
-  * bucketised on combined quantile boundaries first (the statistic is then
-  * exact up to one bin's probability mass).
+  * bucketised on quantile boundaries of the key-space side first (the
+  * statistic is then exact up to one bin's probability mass).
   */
 object Ks {
 
@@ -48,11 +48,25 @@ object Ks {
     * Returned strictly increasing; may have fewer than `maxBins` cut points
     * on skewed data.
     */
-  def boundaries(df: DataFrame, column: String, maxBins: Int): Array[Double] = {
-    val probs = (1 until maxBins).map(_.toDouble / maxBins).toArray
-    val named = df.select(col(column).cast("double").as("__v")).na.drop()
-    named.stat.approxQuantile("__v", probs, 0.001).distinct.sorted
-  }
+  def boundaries(df: DataFrame, column: String, maxBins: Int): Array[Double] =
+    boundariesOf(df, Seq(column), maxBins)(column)
+
+  /** `boundaries` of every column of `columns`, from one aggregation: the
+    * `approx_percentile` that `approxQuantile` runs for a relative error of
+    * 0.001 (accuracy 1000), over the non-null, non-NaN values.
+    */
+  private def boundariesOf(df: DataFrame, columns: Seq[String], maxBins: Int): Map[String, Array[Double]] =
+    if (columns.isEmpty) Map.empty
+    else {
+      val probs = lit((1 until maxBins).map(_.toDouble / maxBins).toArray)
+      val row = df.select(columns.map { c =>
+        val v = col(c).cast("double")
+        approx_percentile(when(!isnan(v), v), probs, lit(1000))
+      }: _*).head()
+      columns.zipWithIndex.map { case (c, i) =>
+        c -> (if (row.isNullAt(i)) Array.empty[Double] else row.getSeq[Double](i).toArray.distinct.sorted)
+      }.toMap
+    }
 
   /** Index of the bucket `x` falls into for strictly increasing `bounds`
     * (bucket i covers (bounds(i-1), bounds(i)]; 0 covers (-inf, bounds(0)]).
@@ -66,33 +80,50 @@ object Ks {
     lo
   }
 
-  /** A (column expression, numeric-ordering) pair mapping `column` to the
-    * string key used for KS frequency counting: the raw value for
-    * low-cardinality or categorical columns, a quantile-bucket index for
-    * high-cardinality numerics. `statsFrom` supplies the domain (usually the
-    * input dataframe, which covers the output's values for the supported ops).
+  /** How a column's values map to the string keys KS counts, and whether
+    * those keys compare numerically.
     */
-  def keyExpr(statsFrom: DataFrame, column: String, maxBins: Int): (Column => Column, Boolean) = {
-    if (!isNumeric(statsFrom, column)) {
-      (c => c.cast("string"), false)
-    } else {
-      val distinct = statsFrom
-        .agg(approx_count_distinct(col(column)).as("d")).head.getLong(0)
-      if (distinct <= maxBins) {
-        (c => c.cast("double").cast("string"), true)
-      } else {
-        val bounds = boundaries(statsFrom, column, maxBins)
-        val f      = udf((x: java.lang.Double) => if (x == null) null else bucketOf(bounds)(x).toString)
-        (c => f(c.cast("double")), true)
+  final case class KeySpace(key: Column => Column, numeric: Boolean)
+
+  /** The KS key space of each of `columns` of `df`: the raw value for
+    * categorical columns and numerics with at most `maxBins` distinct values,
+    * a quantile-bucket index for the other numerics. `df` supplies the domain
+    * (usually an input, which covers the output's values for the supported
+    * ops). At most two aggregations cover every column: one
+    * `approx_count_distinct` over the numerics whose count `knownDistinct`
+    * lacks (it takes counts from the same function, e.g. `Partition.profile`),
+    * and one percentile pass over the high-cardinality ones.
+    */
+  def keySpaces(df: DataFrame, columns: Seq[String], maxBins: Int,
+                knownDistinct: Map[String, Long] = Map.empty): Map[String, KeySpace] = {
+    val numeric = columns.distinct.filter(isNumeric(df, _))
+    val unknown = numeric.filterNot(knownDistinct.contains)
+    val counted =
+      if (unknown.isEmpty) Map.empty[String, Long]
+      else {
+        val row = df.select(unknown.map(c => approx_count_distinct(col(c))): _*).head()
+        unknown.zipWithIndex.map { case (c, i) => c -> row.getLong(i) }.toMap
       }
-    }
+    val distinct = knownDistinct ++ counted
+    val bounds   = boundariesOf(df, numeric.filter(distinct(_) > maxBins), maxBins)
+    columns.map { c =>
+      c -> (if (!numeric.contains(c)) KeySpace(_.cast("string"), numeric = false)
+            else bounds.get(c).fold(KeySpace(_.cast("double").cast("string"), numeric = true)) { b =>
+              val f = udf((x: java.lang.Double) => if (x == null) null else bucketOf(b)(x).toString)
+              KeySpace(x => f(x.cast("double")), numeric = true)
+            })
+    }.toMap
   }
+
+  /** The key space of one column: `keySpaces` of `column` alone. */
+  def keyExpr(statsFrom: DataFrame, column: String, maxBins: Int): KeySpace =
+    keySpaces(statsFrom, Seq(column), maxBins)(column)
 
   /** KS statistic between `a[column]` and `b[column]`. `a` decides
     * type/bucketisation so both sides share one key space.
     */
   def statistic(a: DataFrame, b: DataFrame, column: String, maxBins: Int = 1024): Double = {
-    val (key, numeric) = keyExpr(a, column, maxBins)
+    val KeySpace(key, numeric) = keyExpr(a, column, maxBins)
     val tagged = a.select(key(col(column)).as("__k"), lit(0).as("__s"))
       .unionAll(b.select(key(col(column)).as("__k"), lit(1).as("__s")))
       .where(col("__k").isNotNull)

@@ -16,9 +16,10 @@ import scala.collection.immutable.ListMap
 object Experiments {
 
   /** One printed table of a reproduced figure: `run` computes its rows from
-    * frames at the scales it names, `cells` renders a row.
+    * frames at the scales it names, `cells` renders a row. Title and headers
+    * are ASCII, so they print the same under any platform charset.
     */
-  final class Figure[R](title: String, headers: Seq[String], cells: R => Seq[String])(
+  final class Figure[R](val title: String, val headers: Seq[String], cells: R => Seq[String])(
       run: (DataScale => Frames) => Seq[R]) {
     /** Run the figure, print its table and return its rows. Frames are built
       * per run; Spark's cache manager shares the cached data of equal frames.
@@ -197,7 +198,7 @@ object Experiments {
     ("Bank", "a", Seq(11, 13, 14, 15), Seq(3, 5, 10, 15, 21)),
     ("Spotify", "b", Seq(6, 8, 9), Seq(3, 5, 10, 15, 20)),
     ("Products", "c", Seq(4, 5), Seq(3, 10, 20, 31))).map { case (ds, panel, nums, colCounts) =>
-    ds -> new Figure[RuntimeColsRow](s"Fig 9$panel | runtime (s) vs #columns — $ds",
+    ds -> new Figure[RuntimeColsRow](s"Fig 9$panel | runtime (s) vs #columns - $ds",
       Seq("cols", "FEDEX-S", "SEEDB", "RATH"),
       r => Seq(r.nCols.toString, f2(r.fedexSampling), f2(r.seedb), f2(r.rath)))(
       frames => runtimeVsColumns(select(frames(DataScale.bench), nums), colCounts))
@@ -218,7 +219,7 @@ object Experiments {
     ("Spotify", "b", Seq(6, 8), Seq(20000L, 80000L, DataScale.bench.spotifyRows), n => small(spotify = n)),
     ("Products", "c", Seq(4, 5), Seq(50000L, 100000L, DataScale.bench.salesRows), n => small(sales = n))
   ).map { case (ds, panel, nums, sizes, scale) =>
-    ds -> new Figure[RuntimeRowsRow](s"Fig 10$panel | runtime (s) vs #rows — $ds",
+    ds -> new Figure[RuntimeRowsRow](s"Fig 10$panel | runtime (s) vs #rows - $ds",
       Seq("rows", "FEDEX", "FEDEX-S", "SEEDB", "RATH"),
       r => Seq(r.rows.toString, f2(r.fedex), f2(r.fedexSampling), f2(r.seedb), f2(r.rath)))(
       frames => sizes.distinct.map { n =>
@@ -239,8 +240,8 @@ object Experiments {
     * contribution as the number of sets-of-rows varies, explaining only the
     * query's most interesting column.
     */
-  val fig11: Seq[Figure[SetsRow]] = Seq(7 -> "Spotify, year>1990", 3 -> "stores ⋈ sales").map { case (num, what) =>
-    new Figure[SetsRow](s"Fig 11 | top contribution vs #sets — q$num ($what)", Seq("n sets", "top C", "top set"),
+  val fig11: Seq[Figure[SetsRow]] = Seq(7 -> "Spotify, year>1990", 3 -> "stores JOIN sales").map { case (num, what) =>
+    new Figure[SetsRow](s"Fig 11 | top contribution vs #sets - q$num ($what)", Seq("n sets", "top C", "top set"),
       r => Seq(r.n.toString, f3(r.topContribution), r.topSet.take(40)))(frames => {
       val q = select(frames(DataScale.bench), Seq(num)).head
       Seq(2, 3, 5, 8, 10, 15, 20).map { n =>

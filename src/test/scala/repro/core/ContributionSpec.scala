@@ -242,6 +242,63 @@ class ContributionSpec extends SparkSpec with PropChecks {
     }, minTests = 12)
   }
 
+  // ----------------- one query per target == per partition == exact
+
+  private type TargetRow = (Int, Option[Int], Option[Double], Option[String])
+
+  /** Rows (id, k, v, s) and g = "g" + k / 2: k is a numeric target with nulls
+    * that functionally determines the coarser g, so one target yields
+    * frequency, numeric-bin and many-to-one partitions.
+    */
+  private val targetRows: Gen[Seq[TargetRow]] = Gen.choose(0, 14).flatMap(n => Gen.listOfN(n,
+    for {
+      k <- Gen.frequency(1 -> Gen.const(None), 6 -> Gen.choose(0, 5).map(Some(_)))
+      v <- dbl
+      s <- str("p", "q")
+    } yield (k, v, s))).map(_.zipWithIndex.map { case ((k, v, s), i) => (i, k, v, s) })
+
+  private def withG(rows: Seq[TargetRow]) =
+    rows.toDF("id", "k", "v", "s").withColumn("g", concat(lit("g"), (col("k") / 2).cast("int")))
+
+  private val targetCases: Gen[Seq[Case]] = for {
+    fs    <- Gen.listOfN(2, targetRows)
+    d     <- dims
+    pred  <- Gen.oneOf("v > 0", "s = 'p' OR v IS NULL", "id % 2 = 0", "id < 0")
+    fAttr <- Gen.oneOf("k", "v", "s")
+    uIdx  <- Gen.choose(0, 1)
+  } yield {
+    val Seq(f0, f1) = fs.map(withG)
+    val join = Step(Seq(f0, d.toDF("k", "u", "w", "t")), JoinOp("k", "k", "l_", "r_"))
+    Seq(
+      Case(s"filter $pred", Step(Seq(f0), FilterOp(pred)), fAttr, 0, "k", Some(fAttr)),
+      Case("join", join, "l_k", 0, "k", Some("k")),
+      Case("join, attribute of the other input", join, "r_u", 0, "k", None),
+      Case("union of 2", Step(Seq(f0, f1), UnionOp()), "k", uIdx, "k", Some("k")))
+  }
+
+  test("one contribution query per target == Contribution.all per partition == exact") {
+    var methods = Set.empty[String]
+    checkProp(Prop.forAllNoShrink(targetCases, Gen.oneOf(2, 3)) { (cs, n) =>
+      cs.map { c =>
+        val parts = Partition.candidatesMulti(c.step.inputs(c.idx), c.partitionOn, Seq(n), enableManyToOne = true)
+        methods ++= parts.map(_.method)
+        val keys    = Interestingness.keySpaces(c.step, c.step.inputs, Seq(c.attr), 1024, Map.empty)
+        val batched = Contribution.exceptionality(c.step, c.attr, parts, c.idx, keys)
+        val single  = parts.map(Contribution.all(c.step, c.attr, _, c.idx).get)
+        // frequency partitions are checked against exact by the test above
+        val wrongC = parts.zip(single).filter(_._1.method != "frequency").flatMap { case (p, res) =>
+          res.perSet.toSeq.flatMap { case (s, fc) =>
+            val ec = Contribution.exact(c.step, c.attr, p, s, c.idx).get
+            Option.when(math.abs(fc - ec) >= 1e-9)(s"${p.method} ${p.labelAttr}: C($s) fast=$fc exact=$ec")
+          }
+        }
+        Prop(batched == single) :| s"$c, n=$n: per target $batched != per partition $single" &&
+          Prop(wrongC.isEmpty) :| s"$c, n=$n: ${wrongC.mkString("; ")}"
+      }.reduce(_ && _)
+    }, minTests = 6)
+    assert(methods === Set("frequency", "numeric", "many-to-one"))
+  }
+
   // ------------------------------- group-by fast == exact on random frames
 
   private type GroupRow = (Option[String], Option[Int], Option[Double], Option[String])

@@ -1,8 +1,11 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{PropChecks, SparkSpec}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
+import org.scalacheck.{Gen, Prop}
 
-class InterestingnessSpec extends SparkSpec {
+class InterestingnessSpec extends SparkSpec with PropChecks {
   import spark.implicits._
 
   /** 400 rows; category "C" is rare overall but dominates high values, so a
@@ -106,5 +109,73 @@ class InterestingnessSpec extends SparkSpec {
     assert(s1.count() <= 1000)
     assert(s1.count() === s2.count())
     assert(Sampling.uniform(df, 20000).count() === 10000)
+  }
+
+  test("sampling keeps the caller's cached frames cached when no input needs a sample") {
+    val df   = spark.range(100).selectExpr("id % 7 as v", "cast(id % 3 as string) as c").cache()
+    val step = Step(Seq(df), FilterOp("v > 2"))
+    step.output.cache()
+    df.count(); step.output.count()
+    Interestingness.scores(step, Seq("v", "c"), sampleRows = Some(1000L))
+    assert(df.storageLevel !== StorageLevel.NONE)
+    assert(step.output.storageLevel !== StorageLevel.NONE)
+    Fedex.explain(step, FedexConfig(nSets = Seq(2), topKColumns = 1, sampleRows = Some(1000L)))
+    assert(df.storageLevel !== StorageLevel.NONE)
+    assert(step.output.storageLevel !== StorageLevel.NONE)
+    step.output.unpersist(); df.unpersist()
+  }
+
+  // --------------------------- one aggregation == per-column reference
+
+  private type FactRow = (Int, Option[String], Option[Double], Option[String], Int)
+
+  private val dbl = Gen.frequency(1 -> Gen.const(None), 6 -> Gen.oneOf(Double.NaN, 0.0, -0.0, 1.5,
+    -2.25, 3.0, 7.0, Double.PositiveInfinity, Double.NegativeInfinity).map(Some(_)))
+  private def str(vs: String*) = Gen.frequency(1 -> Gen.const(None), 5 -> Gen.oneOf(vs).map(Some(_)))
+
+  /** Facts (id, c, v, s, k): few values, so counts tie; nulls, NaN, ±0.0 and
+    * ±∞ in v; the id column has as many values as rows.
+    */
+  private val facts: Gen[Seq[FactRow]] = Gen.choose(0, 14).flatMap(n => Gen.listOfN(n,
+    for { c <- str("a", "b", "d"); v <- dbl; s <- str("p", "q"); k <- Gen.choose(0, 3) }
+    yield (c, v, s, k))).map(_.zipWithIndex.map { case ((c, v, s, k), i) => (i, c, v, s, k) })
+
+  /** Join dimension (k, u, w): duplicate and unmatched keys. */
+  private val dims: Gen[Seq[(Int, Option[String], Option[Double])]] = Gen.choose(0, 6).flatMap(n =>
+    Gen.listOfN(n, for { k <- Gen.choose(0, 4); u <- str("m", "n"); w <- dbl } yield (k, u, w)))
+
+  /** A filter (one predicate selects nothing), a join, and unions of 2 and 3. */
+  private val steps: Gen[Seq[(String, Step)]] = for {
+    fs   <- Gen.listOfN(3, facts)
+    d    <- dims
+    pred <- Gen.oneOf("v > 0", "s = 'p' OR v IS NULL", "id % 2 = 0", "id < 0")
+  } yield {
+    val Seq(f0, f1, f2) = fs.map(_.toDF("id", "c", "v", "s", "k"))
+    Seq(s"filter $pred" -> Step(Seq(f0), FilterOp(pred)),
+      "join" -> Step(Seq(f0, d.toDF("k", "u", "w")), JoinOp("k", "k", "l_", "r_")),
+      "union of 2" -> Step(Seq(f0, f1), UnionOp()),
+      "union of 3" -> Step(Seq(f0, f1, f2), UnionOp()))
+  }
+
+  /** `scores` against `score` per column, on `step` or, with `sampleRows`,
+    * on the sampled step (`Sampling.uniform` is deterministic in its seed).
+    */
+  private def checkScores(name: String, step: Step, maxBins: Int, sampleRows: Option[Long]): Prop = {
+    val attrs   = step.outputAttrs
+    val batched = Interestingness.scores(step, attrs, maxBins, sampleRows, seed = 3)
+    val ref: Seq[DataFrame] = sampleRows.fold(step.inputs)(k => step.inputs.map(Sampling.uniform(_, k, 3).cache()))
+    val perColumn = attrs.flatMap(a => Interestingness.score(Step(ref, step.op), a, maxBins).map(a -> _)).toMap
+    ref.foreach(_.unpersist())
+    val wrong = perColumn.collect { case (a, s) if !batched.get(a).exists(b => math.abs(b - s) < 1e-12) =>
+      s"$a: batched ${batched.get(a)}, per column $s" }
+    Prop(batched.keySet == perColumn.keySet) :| s"$name: columns ${batched.keySet} != ${perColumn.keySet}" &&
+      Prop(wrong.isEmpty) :| s"$name, maxBins $maxBins, sample $sampleRows: ${wrong.mkString("; ")}"
+  }
+
+  test("scores in one aggregation == score per column on random steps, exact and sampled") {
+    // maxBins = 3 bucketises v and id; a 5-row sample draws from larger inputs
+    checkProp(Prop.forAllNoShrink(steps, Gen.oneOf(3, 1024), Gen.oneOf(None, Some(5L))) { (ss, maxBins, k) =>
+      ss.map { case (name, step) => checkScores(name, step, maxBins, k) }.reduce(_ && _)
+    }, minTests = 6)
   }
 }

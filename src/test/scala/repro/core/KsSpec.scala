@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{PropChecks, SparkSpec}
+import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 
 class KsSpec extends SparkSpec with PropChecks {
@@ -154,5 +155,51 @@ class KsSpec extends SparkSpec with PropChecks {
     assert(Ks.isNumeric(df, "i"))
     assert(Ks.isNumeric(df, "d"))
     assert(!Ks.isNumeric(df, "s"))
+  }
+
+  // ------------------------------------------------ key spaces, batched
+
+  private val special = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, 0.0, -0.0)
+
+  /** Rows of (a, b, c, d, e, s): doubles a and b over 1 + `width` values plus
+    * nulls, NaN, ±∞ and ±0.0; c constant; d all-null; e an int; s a string.
+    * The widths put the distinct counts on both sides of a small maxBins.
+    */
+  private val keyFrames = for {
+    n     <- Gen.choose(0, 24)
+    wa    <- Gen.choose(0, 9)
+    wb    <- Gen.choose(0, 3)
+    rows  <- Gen.listOfN(n, for {
+               a <- Gen.frequency(1 -> Gen.const(None), 2 -> Gen.oneOf(special).map(Some(_)),
+                      6 -> Gen.choose(0, wa).map(i => Some(i * 1.25 - 3)))
+               b <- Gen.frequency(1 -> Gen.const(None), 4 -> Gen.choose(0, wb).map(i => Some(i.toDouble)))
+               e <- Gen.choose(-4, 4)
+               s <- Gen.oneOf("x", "y", "z")
+             } yield (a, b, 2.5, Option.empty[Double], e, s))
+  } yield rows
+
+  test("keySpaces gives keyExpr's keys column by column, with or without known counts") {
+    val cols = Seq("a", "b", "c", "d", "e", "s")
+    checkProp(Prop.forAllNoShrink(keyFrames, Gen.oneOf(2, 3, 5), Gen.someOf(cols)) { (rows, maxBins, known) =>
+      val df      = rows.toDF(cols: _*)
+      val profile = Partition.profile(df).filter { case (c, _) => known.contains(c) }
+      val batched = Ks.keySpaces(df, cols, maxBins, profile)
+      cols.map { c =>
+        val one = Ks.keyExpr(df, c, maxBins)
+        def keys(k: Ks.KeySpace) = df.select(k.key(col(c))).collect().map(r => Option(r.getString(0))).toSeq
+        val distinct = df.agg(approx_count_distinct(col(c))).head().getLong(0)
+        // a bucketised column's keys follow approxQuantile's boundaries
+        val reference = Option.when(c != "s" && distinct > maxBins) {
+          val probs  = (1 until maxBins).map(_.toDouble / maxBins).toArray
+          val bounds = df.select(col(c).cast("double").as("x")).na.drop().stat
+            .approxQuantile("x", probs, 0.001).distinct.sorted
+          df.select(col(c).cast("double")).collect().toSeq
+            .map(r => Option.when(!r.isNullAt(0))(Ks.bucketOf(bounds)(r.getDouble(0)).toString))
+        }
+        Prop(batched(c).numeric == one.numeric) :| s"$c: numeric ${batched(c).numeric} != ${one.numeric}" &&
+          Prop(keys(batched(c)) == keys(one)) :| s"$c, maxBins $maxBins: ${keys(batched(c))} != ${keys(one)}" &&
+          Prop(reference.forall(_ == keys(one))) :| s"$c, maxBins $maxBins: ${keys(one)} != approxQuantile's $reference"
+      }.reduce(_ && _)
+    }, minTests = 15)
   }
 }

@@ -20,4 +20,12 @@ class ExperimentsSpec extends SparkSpec {
       assert(full.output.columns.toSet === q.step.output.columns.toSet, s"q${q.num}")
     }
   }
+
+  test("every figure's title and headers are ASCII") {
+    val figures = Seq(Experiments.tables23, Experiments.fig3, Experiments.fig5, Experiments.fig7,
+      Experiments.fig8) ++ Experiments.fig9.values ++ Experiments.fig10.values ++ Experiments.fig11
+    figures.foreach { f =>
+      (f.title +: f.headers).foreach(s => assert(s.forall(_ < 128), s"non-ASCII in '$s'"))
+    }
+  }
 }
