@@ -19,7 +19,7 @@ object Caption {
     measure match {
       case "exceptionality" =>
         val shareTxt = (stats.inShare, stats.outShare) match {
-          case (Some(i), Some(o)) if i > 0 =>
+          case (Some(i), Some(o)) if i > 0 && o > 0 =>
             val ratio = o / i
             val dir   = if (ratio >= 1) f"$ratio%.1fx more frequent" else f"${1 / ratio}%.1fx less frequent"
             s" They form ${pct(o)} of the output vs ${pct(i)} of the input ($dir)."

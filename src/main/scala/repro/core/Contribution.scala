@@ -42,8 +42,8 @@ final case class ContributionResult(full: Double, perSet: Map[String, Double],
   * `C(R,A,Q) = I_A(D_in, q, d_out) − I_A(D_in − R, q, d'_out)`.
   *
   * `exact` is the literal interventional semantics (re-run q per exclusion) —
-  * the reference used in tests. `all` and `exceptionality` are the
-  * production path: one Spark aggregation produces per-(set, value) cells
+  * the reference used in tests. `ofTarget` (and `all`, its one-partition
+  * case) is the production path: one Spark aggregation produces per-set cells
   * from which the score of *every* exclusion is reconstructed on the driver,
   * because each output row descends from exactly one (partitioned) input row.
   */
@@ -60,26 +60,52 @@ object Contribution {
     for { a <- fullI; b <- newI } yield a - b
   }
 
-  /** Contributions of all sets in `partition` to `attr`, via the aggregation
-    * fast path. Returns None when the measure does not apply to `attr`.
+  /** Contributions of all sets in `partition` to `attr`: `ofTarget` of one
+    * column and one partition. Returns None when the measure does not apply.
     */
   def all(step: Step, attr: String, partition: RowPartition,
           labeledIdx: Int = 0, maxBins: Int = 1024): Option[ContributionResult] =
+    ofTarget(step, Seq(attr), Seq(partition), labeledIdx,
+      { case (i, c) => Ks.keyExpr(step.inputs(i), c, maxBins) }).headOption.map(_._3)
+
+  /** Contributions of every partition of `parts` (all on input `labeledIdx`)
+    * to each column of `attrs` the measure applies to, as (column, partition,
+    * result): one query per column for exceptionality, one in all for
+    * group-by. `keyOf` gives the KS key space of an (input, column): the
+    * partitioned input's when it is a source, else the first source's.
+    */
+  def ofTarget(step: Step, attrs: Seq[String], parts: Seq[RowPartition], labeledIdx: Int,
+               keyOf: ((Int, String)) => Ks.KeySpace): Seq[(String, RowPartition, ContributionResult)] = {
+    def perColumn(filter: Option[String]) = attrs.flatMap(a =>
+      parts.zip(exceptionality(step, a, parts, labeledIdx, keyOf, filter)).map { case (p, r) => (a, p, r) })
     step.op match {
-      case g: GroupByOp => groupByPath(step, g, attr, partition)
-      case _ =>
-        exceptionality(step, attr, Seq(partition), labeledIdx,
-          { case (i, c) => Ks.keyExpr(step.inputs(i), c, maxBins) }).headOption
+      case g: GroupByOp   => diversity(step, g, attrs, parts)
+      case FilterOp(pred) => perColumn(Some(pred))
+      case _              => perColumn(None)
     }
+  }
+
+  /** One aggregation over every partition of `parts`: `frame` of each,
+    * tagged with the partition's index `__p`, unioned and grouped by
+    * (`__p`, `by`). Collected once and split by index; each row holds `__p`,
+    * then `by`, then `aggs`.
+    */
+  private def perPartition(parts: Seq[RowPartition], frame: RowPartition => DataFrame,
+                           by: Seq[String], aggs: Seq[Column]): Seq[Seq[Row]] = {
+    val rows = parts.zipWithIndex
+      .map { case (p, i) => frame(p).withColumn("__p", lit(i)) }
+      .reduce(_.unionAll(_))
+      .groupBy(("__p" +: by).map(col): _*).agg(aggs.head, aggs.tail: _*).collect()
+      .groupBy(_.getInt(0))
+    parts.indices.map(i => rows.getOrElse(i, Array.empty).toSeq)
+  }
 
   // ------------------------------------------------------ exceptionality path
 
   /** Filter, join and union: I = max over `step.sources(attr)` of KS(source,
     * output), for the full data and for every exclusion; C = I_full − I_excl.
-    * Returns one result per partition of `parts` (all on input `labeledIdx`),
-    * none when `attr` has no source. `keyOf` gives the KS key space of an
-    * (input, column): the partitioned input's when it is a source, else the
-    * first source's.
+    * Returns one result per partition of `parts`, none when `attr` has no
+    * source. `filter` is the predicate of a filter step.
     *
     * One aggregation counts rows per (partition, set, key) on every side:
     * each source input (the partitioned one carries its labels, the others a
@@ -88,8 +114,9 @@ object Contribution {
     * input and the output, and no others, so the driver scores every
     * exclusion of every partition from these counts.
     */
-  private[core] def exceptionality(step: Step, attr: String, parts: Seq[RowPartition], labeledIdx: Int,
-                                   keyOf: ((Int, String)) => Ks.KeySpace): Seq[ContributionResult] = {
+  private def exceptionality(step: Step, attr: String, parts: Seq[RowPartition], labeledIdx: Int,
+                             keyOf: ((Int, String)) => Ks.KeySpace,
+                             filter: Option[String]): Seq[ContributionResult] = {
     val sources = step.sources(attr)
     if (sources.isEmpty || parts.isEmpty) return Seq.empty
     val labeledSide = sources.indexWhere(_._1 == labeledIdx) // -1: not a source
@@ -97,11 +124,11 @@ object Contribution {
     val outSide = sources.size // the output's count follows the sources'
     // A filter's output rows are a subset of its input rows: one scan of the
     // labeled input counts both sides, where a tagged union would read it twice.
-    val (tagged, counts): (RowPartition => DataFrame, Seq[Column]) = step.op match {
-      case FilterOp(pred) =>
+    val (tagged, counts): (RowPartition => DataFrame, Seq[Column]) = filter match {
+      case Some(pred) =>
         (_.labeled.select(col(LabelCol), key(col(attr)), expr(pred)),
           Seq(count(lit(1)), count_if(col("__s"))))
-      case _ =>
+      case None =>
         (p => {
           val ins = step.inputs.updated(labeledIdx, p.labeled)
           val sides = sources.map { case (i, c) =>
@@ -110,12 +137,8 @@ object Contribution {
           sides.zipWithIndex.map { case (df, j) => df.withColumn("__s", lit(j)) }.reduce(_.unionAll(_))
         }, (0 to outSide).map(j => count_if(col("__s") === j)))
     }
-    val rows = parts.zipWithIndex
-      .map { case (p, i) => tagged(p).toDF("__l", "__k", "__s").withColumn("__p", lit(i)) }
-      .reduce(_.unionAll(_))
-      .groupBy("__p", "__l", "__k").agg(counts.head, counts.tail: _*).collect()
-      .groupBy(_.getInt(0))
-    parts.indices.map(i => scoreSets(rows.getOrElse(i, Array.empty).toSeq, outSide, labeledSide, numeric))
+    perPartition(parts, tagged(_).toDF("__l", "__k", "__s"), Seq("__l", "__k"), counts)
+      .map(scoreSets(_, outSide, labeledSide, numeric))
   }
 
   /** One partition's contributions from its (partition, set, key, count per
@@ -149,76 +172,80 @@ object Contribution {
 
   // ---------------------------------------------------------- group-by path
 
-  /** Group-by: I = CV of the group values of `attr` (Eq. 2); C = I_full − I_excl.
-    * One aggregation gives a row per (group, set), read into a `Cell` of
-    * `attr`'s partials, from which any exclusion's group values follow: count,
-    * sum and mean exactly, min and max because the sets partition the rows.
+  // a (partition, group, set) cell's row count, and the count, sum, min and
+  // max of the explained column's non-null values
+  private final case class Cell(set: Option[String], rows: Long, n: Long, sum: Double,
+                                min: Option[Double], max: Option[Double])
+
+  /** Group-by: I = CV of the group values of a column (Eq. 2); C = I_full − I_excl.
+    * One aggregation gives a row per (partition, group, set) with the partials of
+    * each explained column, read into `Cell`s from which any exclusion's group
+    * values follow: count, sum and mean exactly, min and max as the sets partition the rows.
     */
-  private def groupByPath(step: Step, g: GroupByOp, attr: String,
-                          partition: RowPartition): Option[ContributionResult] = {
-    // the cell's row count, and the count, sum, min and max of non-null values
-    final case class Cell(set: Option[String], rows: Long, n: Long, sum: Double,
-                          min: Option[Double], max: Option[Double])
-    val keyIdx = g.keys.indexOf(attr)
+  private def diversity(step: Step, g: GroupByOp, attrs: Seq[String],
+                        parts: Seq[RowPartition]): Seq[(String, RowPartition, ContributionResult)] = {
     // a numeric key is its own min and max, so it is explained as max
-    val spec = if (keyIdx < 0) g.aggs.find(_.alias == attr)
-               else Option.when(Ks.isNumeric(step.inputs.head, attr))(AggSpec("max", attr, attr))
-    spec.map { case AggSpec(func, column, _) =>
-      // Every aggregated column, not only `attr`: each column explained over
-      // this partition sends the same query, so Spark compiles its plan once.
-      val srcCols = g.aggs.map(_.column).filter(_ != "*").distinct
-      val aggExprs =
-        count(lit(1)).as("__cnt") +:
-        srcCols.flatMap(c => Seq(
-          sum(col(c).cast("double")).as(s"__sum__$c"),
-          count(col(c)).as(s"__cntc__$c"),
-          max(col(c).cast("double")).as(s"__max__$c"),
-          min(col(c).cast("double")).as(s"__min__$c")))
-      // each row: the keys, the set, the row count, then sum, count, max, min per source column
-      val nk = g.keys.size
-      val at = nk + 2 + 4 * srcCols.indexOf(column)
-      def num(r: Row, i: Int) = Option.when(!r.isNullAt(i))(r.getAs[Number](i).doubleValue)
-      val groups: Seq[Seq[Cell]] = partition.labeled
-        .groupBy((g.keys.map(col) :+ col(LabelCol).as("__l")): _*)
-        .agg(aggExprs.head, aggExprs.tail: _*)
-        .collect().toSeq.map { r =>
-          val (set, rows) = (Option(r.getString(nk)), r.getLong(nk + 1))
-          val cell =
-            if (keyIdx >= 0) Cell(set, rows, rows, 0.0, num(r, keyIdx), num(r, keyIdx))
-            else if (column == "*") Cell(set, rows, rows, 0.0, None, None)
-            else Cell(set, rows, r.getLong(at + 1), num(r, at).getOrElse(0.0), num(r, at + 3), num(r, at + 2))
-          (0 until nk).map(i => Option(r.get(i)).map(_.toString)) -> cell
-        }.groupMap(_._1)(_._2).values.toSeq
-
-      // The group's value without `excluded`'s rows: None when no row is left
-      // or the aggregate is null, as in Spark.
-      def value(cells: Seq[Cell], excluded: Option[String]): Option[Double] = {
-        val live = cells.filter(c => excluded.isEmpty || c.set != excluded)
-        val n    = live.map(_.n).sum
-        if (live.isEmpty) None
-        else func match {
-          case "count"        => Some(n.toDouble)
-          case "sum"          => Option.when(n > 0)(live.map(_.sum).sum)
-          case "mean" | "avg" => Option.when(n > 0)(live.map(_.sum).sum / n)
-          case "max"          => live.flatMap(_.max).maxOption
-          case "min"          => live.flatMap(_.min).minOption
-        }
-      }
-
-      val values = groups.flatMap(value(_, None))
-      val full   = Diversity.cv(values)
-      val sets   = groups.flatten.flatMap(_.set).distinct
-      val perSet = sets.map(s => s -> (full - Diversity.cv(groups.flatMap(value(_, Some(s)))))).toMap
-
-      // Caption stats: a group belongs to the set holding a plurality of its rows.
-      val (_, mu, sd) = Diversity.moments(values)
-      val setMeans: Map[String, Double] = groups.flatMap { cs =>
-        val dominant = cs.groupMapReduce(_.set)(_.rows)(_ + _).maxBy(_._2)._1
-        for { d <- dominant; v <- value(cs, None) } yield d -> v
-      }.groupMap(_._1)(_._2).map { case (s, vs) => s -> vs.sum / vs.size }
-      val stats = sets.map(s => s -> SetStats(
-        setMean = setMeans.get(s), overallMean = Some(mu), overallSd = Some(sd))).toMap
-      ContributionResult(full, perSet, stats)
+    val specs = attrs.flatMap { a =>
+      (if (g.keys.contains(a)) Option.when(Ks.isNumeric(step.inputs.head, a))(AggSpec("max", a, a))
+       else g.aggs.find(_.alias == a)).map(a -> _)
     }
+    if (specs.isEmpty || parts.isEmpty) return Seq.empty
+    val srcCols = specs.map(_._2.column).filter(_ != "*").distinct
+    val aggExprs = count(lit(1)) +: srcCols.flatMap { c =>
+      val v = col(c).cast("double")
+      Seq(sum(v), count(col(c)), max(v), min(v))
+    }
+    // each row: the partition, the keys, the set, the row count, then sum,
+    // count, max, min per explained source column
+    val rowsOf = parts.zip(perPartition(parts, _.labeled, g.keys :+ LabelCol, aggExprs))
+    val nk = g.keys.size
+    def num(r: Row, i: Int) = Option.when(!r.isNullAt(i))(r.getAs[Number](i).doubleValue)
+    for { (a, AggSpec(func, column, _)) <- specs; (p, rows) <- rowsOf } yield {
+      val at = nk + 3 + 4 * srcCols.indexOf(column)
+      val groups: Seq[Seq[Cell]] = rows.map { r =>
+        val (set, n) = (Option(r.getString(nk + 1)), r.getLong(nk + 2))
+        val cell =
+          if (column == "*") Cell(set, n, n, 0.0, None, None)
+          else Cell(set, n, r.getLong(at + 1), num(r, at).getOrElse(0.0), num(r, at + 3), num(r, at + 2))
+        (1 to nk).map(i => Option(r.get(i)).map(_.toString)) -> cell
+      }.groupMap(_._1)(_._2).values.toSeq
+      (a, p, scoreGroups(groups, func))
+    }
+  }
+
+  /** One (column, partition)'s contributions from the cells of each group,
+    * for the column's aggregate `func`.
+    */
+  private def scoreGroups(groups: Seq[Seq[Cell]], func: String): ContributionResult = {
+    // The group's value without `excluded`'s rows: None when no row is left
+    // or the aggregate is null, as in Spark.
+    def value(cells: Seq[Cell], excluded: Option[String]): Option[Double] = {
+      val live = cells.filter(c => excluded.isEmpty || c.set != excluded)
+      val n    = live.map(_.n).sum
+      if (live.isEmpty) None
+      else func match {
+        case "count"        => Some(n.toDouble)
+        case "sum"          => Option.when(n > 0)(live.map(_.sum).sum)
+        case "mean" | "avg" => Option.when(n > 0)(live.map(_.sum).sum / n)
+        case "max"          => live.flatMap(_.max).maxOption
+        case "min"          => live.flatMap(_.min).minOption
+      }
+    }
+
+    val values = groups.flatMap(value(_, None))
+    val full   = Diversity.cv(values)
+    val sets   = groups.flatten.flatMap(_.set).distinct
+    val perSet = sets.map(s => s -> (full - Diversity.cv(groups.flatMap(value(_, Some(s)))))).toMap
+
+    // Caption stats: a group belongs to the set holding a plurality of its
+    // rows, the greatest label on a tie, whatever order the rows came in.
+    val (_, mu, sd) = Diversity.moments(values)
+    val setMeans: Map[String, Double] = groups.flatMap { cs =>
+      val dominant = cs.groupMapReduce(_.set)(_.rows)(_ + _).maxBy(_.swap)._1
+      for { d <- dominant; v <- value(cs, None) } yield d -> v
+    }.groupMap(_._1)(_._2).map { case (s, vs) => s -> vs.sum / vs.size }
+    val stats = sets.map(s => s -> SetStats(
+      setMean = setMeans.get(s), overallMean = Some(mu), overallSd = Some(sd))).toMap
+    ContributionResult(full, perSet, stats)
   }
 }

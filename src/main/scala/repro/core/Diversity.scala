@@ -29,18 +29,21 @@ object Diversity {
     (n, mean, if (n < 2) 0.0 else math.sqrt(ss / (n - 1)))
   }
 
-  /** CV of a dataframe column's finite values via one Spark aggregation. */
-  def cv(df: DataFrame, column: String): Double = {
-    val r = df
-      .select(col(column).cast("double").as("__v"))
-      .where(!isnan(col("__v")) && abs(col("__v")) =!= Double.PositiveInfinity)
-      .agg(avg("__v").as("m"), stddev_samp("__v").as("s"), count("__v").as("n"))
-      .head()
-    if (r.isNullAt(0) || r.isNullAt(1) || r.getLong(2) < 2) 0.0
+  /** CV of a dataframe column's finite values: `cvs` of that column alone. */
+  def cv(df: DataFrame, column: String): Double = cvs(df, Seq(column))(column)
+
+  /** `cv` of every column of `columns`, from one aggregation of the mean,
+    * sample deviation and count of each column's finite values.
+    */
+  def cvs(df: DataFrame, columns: Seq[String]): Map[String, Double] =
+    if (columns.isEmpty) Map.empty
     else {
-      val m = r.getDouble(0)
-      val s = r.getDouble(1)
-      if (m == 0.0 || s.isNaN) 0.0 else s / math.abs(m)
+      val row = df.select(columns.map { c =>
+        val v = col(c).cast("double")
+        val finite = when(!isnan(v) && abs(v) =!= Double.PositiveInfinity, v)
+        val (m, s) = (avg(finite), stddev_samp(finite))
+        when(count(finite) >= 2 && m =!= 0.0 && !isnan(s), s / abs(m)).otherwise(0.0)
+      }: _*).head()
+      columns.zipWithIndex.map { case (c, i) => c -> row.getDouble(i) }.toMap
     }
-  }
 }

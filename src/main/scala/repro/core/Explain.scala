@@ -1,6 +1,7 @@
 package repro.core
 
-import scala.concurrent.{Await, Future}
+import java.util.concurrent.Executors
+import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
 /** Tunables for the explanation generation of Algorithm 1.
@@ -84,9 +85,8 @@ object Fedex {
     // Everything below runs on one pool as composed futures, so no pool
     // thread waits on another: each input's profile and the full inputs' KS
     // key spaces while the columns are scored, then each target's
-    // partitions, then the contributions to each (column, target) as soon
-    // as the target is built.
-    val (columnScores, scored) = Scoring.withPool { implicit ec =>
+    // partitions, then its contributions as soon as they are built.
+    val (columnScores, scored) = withPool { implicit ec =>
       val attrs = cfg.userColumns.getOrElse {
         val excluded = excludedAttrs(step)
         step.outputAttrs.filterNot(excluded)
@@ -124,39 +124,27 @@ object Fedex {
           }
         }.toMap
 
-      // Lines 7-12: contributions for each (partition, column) pair: one
-      // query per (column, target) for exceptionality, one per pair for
-      // group-by.
-      def candidates(a: String, p: RowPartition, res: ContributionResult): Seq[ExplanationCandidate] = {
-        val std = res.standardized
-        res.perSet.toSeq.collect {
-          case (set, c) if c > 0 =>
-            ExplanationCandidate(
-              attr = a, measure = measure, method = p.method,
-              partitionAttr = p.attr, labelAttr = p.labelAttr, set = set,
-              interestingness = columnScores(a),
-              contribution = c, stdContribution = std(set),
-              stats = res.stats.getOrElse(set, SetStats()))
-        }
+      // Lines 7-12: contributions of each target's partitions to the top
+      // columns explained on it, one `Contribution.ofTarget` call per target.
+      val perTarget = Future.traverse(targets) { t =>
+        val cols = topCols.filter(a => cfg.crossColumns || partitionTargets(step, a).contains(t))
+        partitionsByTarget(t).zipWith(fullKeys)(Contribution.ofTarget(step, cols, _, t._1, _))
       }
-      val pairs = Future.traverse(topCols.flatMap { a =>
-        (if (cfg.crossColumns) targets else partitionTargets(step, a)).map(a -> _)
-      }) { case (a, (idx, pattr)) =>
-        partitionsByTarget(idx -> pattr).flatMap { parts =>
-          val results: Future[Seq[(RowPartition, ContributionResult)]] = step.op match {
-            case _: GroupByOp =>
-              Future.traverse(parts)(p => Future(Contribution.all(step, a, p, idx, cfg.maxBins).map(p -> _)))
-                .map(_.flatten)
-            case _ =>
-              fullKeys.map(keys => parts.zip(Contribution.exceptionality(step, a, parts, idx, keys)))
-          }
-          results.map(_.map { case (p, res) => (a, p, candidates(a, p, res)) })
-        }
-      }
-      (columnScores, Await.result(pairs, Duration.Inf).flatten)
+      (columnScores, Await.result(perTarget, Duration.Inf).flatten)
     }
     val partitionOf = scored.map { case (a, p, _) => (a, p.method, p.labelAttr) -> p }.toMap
-    val candidates  = scored.flatMap(_._3)
+    val candidates  = scored.flatMap { case (a, p, res) =>
+      val std = res.standardized
+      res.perSet.toSeq.collect {
+        case (set, c) if c > 0 =>
+          ExplanationCandidate(
+            attr = a, measure = measure, method = p.method,
+            partitionAttr = p.attr, labelAttr = p.labelAttr, set = set,
+            interestingness = columnScores(a),
+            contribution = c, stdContribution = std(set),
+            stats = res.stats.getOrElse(set, SetStats()))
+      }
+    }
 
     // Line 13: the interestingness/contribution skyline.
     val sky = Skyline.of(candidates)(_.interestingness, _.stdContribution)
@@ -168,5 +156,16 @@ object Fedex {
     }.sortBy(e => (-e.weightedScore, e.candidate.key))
 
     FedexResult(columnScores, candidates, explanations)
+  }
+
+  /** Runs `body` on a pool of 8 daemon threads, shut down when it returns,
+    * so no thread outlives the explain that started it and a finished
+    * program exits on its own.
+    */
+  private def withPool[T](body: ExecutionContext => T): T = {
+    val default = Executors.defaultThreadFactory()
+    val pool = Executors.newFixedThreadPool(8, r => { val t = default.newThread(r); t.setDaemon(true); t })
+    try body(ExecutionContext.fromExecutorService(pool))
+    finally pool.shutdown()
   }
 }

@@ -2,9 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import java.util.concurrent.{Executors, ThreadFactory}
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
 
 /** Uniform row sampling used by FEDEX-SAMPLING (§3.7 "Sampling optimization"):
   * interestingness is computed over a uniform sample of the input rows; all
@@ -43,22 +40,18 @@ object Interestingness {
   def score(step: Step, attr: String, maxBins: Int = 1024): Option[Double] =
     if (attr == LabelCol) None
     else step.op match {
-      case _: GroupByOp => diversity(step.output, attr)
+      case _: GroupByOp => Option.when(Ks.isNumeric(step.output, attr))(Diversity.cv(step.output, attr))
       case _ =>
         step.sources(attr).map { case (idx, orig) =>
           Ks.statistic(step.inputs(idx).withColumnRenamed(orig, attr), step.output, attr, maxBins)
         }.maxOption
     }
 
-  private def diversity(out: DataFrame, attr: String): Option[Double] =
-    Option.when(Ks.isNumeric(out, attr))(Diversity.cv(out, attr))
-
   /** Scores for every output attribute of the step, as `score` gives them.
     * With `sampleRows` set, implements FEDEX-SAMPLING: inputs are uniformly
     * sampled, the operation is re-applied to the sample, and scores are
     * computed on the sampled pair, with KS key spaces taken from the sample.
-    * Exceptionality scores every column in one aggregation; group-by columns
-    * are scored concurrently.
+    * Each measure scores every column in one aggregation.
     */
   def scores(step: Step, attrs: Seq[String], maxBins: Int = 1024,
              sampleRows: Option[Long] = None, seed: Long = 42): Map[String, Double] =
@@ -82,10 +75,7 @@ object Interestingness {
     cached.foreach(_.cache())
     try step.op match {
       case _: GroupByOp =>
-        Scoring.withPool { implicit ec =>
-          val futures = attrs.filterNot(_ == LabelCol).map(a => Future(a -> diversity(out, a)))
-          Await.result(Future.sequence(futures), Duration.Inf)
-        }.collect { case (a, Some(s)) => a -> s }.toMap
+        Diversity.cvs(out, attrs.distinct.filter(a => a != LabelCol && Ks.isNumeric(out, a)))
       case _ =>
         exceptionality(step, ins, out, attrs,
           if (drawn.isEmpty) fullKeys else keySpaces(step, ins, attrs, maxBins, Map.empty))
@@ -136,24 +126,5 @@ object Interestingness {
       cmp.attr -> Ks.fromCounts(cs.map(r => r.getString(1) -> r.getLong(2)),
         cs.map(r => r.getString(1) -> r.getLong(3)), cmp.space.numeric)
     }.groupMapReduce(_._1)(_._2)(math.max)
-  }
-}
-
-/** Bounded thread pools for concurrent Spark jobs (per-column scoring,
-  * partition building, contribution pairs). Each call gets its own pool of
-  * daemon threads, shut down when the call returns, so no thread outlives the
-  * explain that started it and a finished program exits on its own.
-  */
-private[core] object Scoring {
-  val Threads = 8
-
-  def withPool[T](body: ExecutionContext => T): T = {
-    val daemons = new ThreadFactory {
-      private val default = Executors.defaultThreadFactory()
-      def newThread(r: Runnable): Thread = { val t = default.newThread(r); t.setDaemon(true); t }
-    }
-    val pool = Executors.newFixedThreadPool(Threads, daemons)
-    try body(ExecutionContext.fromExecutorService(pool))
-    finally pool.shutdown()
   }
 }

@@ -28,6 +28,13 @@ class CaptionSpec extends SparkSpec {
     assert(c.contains("less frequent"))
   }
 
+  test("exceptionality caption prints no ratio for a set absent from the output") {
+    val c = Caption.render("exceptionality", "decade", freqP, "1970s", 0.5, 1.0,
+      SetStats(inShare = Some(0.049), outShare = Some(0.0)))
+    assert(!c.contains("Infinity"), c)
+    assert(c.contains("0.0% of the output vs 4.9% of the input."), c)
+  }
+
   test("exceptionality caption degrades gracefully without stats") {
     val c = Caption.render("exceptionality", "decade", freqP, "2010s", 0.5, 1.0, SetStats())
     assert(c.contains("2010s"))

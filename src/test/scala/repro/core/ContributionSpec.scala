@@ -283,7 +283,7 @@ class ContributionSpec extends SparkSpec with PropChecks {
         val parts = Partition.candidatesMulti(c.step.inputs(c.idx), c.partitionOn, Seq(n), enableManyToOne = true)
         methods ++= parts.map(_.method)
         val keys    = Interestingness.keySpaces(c.step, c.step.inputs, Seq(c.attr), 1024, Map.empty)
-        val batched = Contribution.exceptionality(c.step, c.attr, parts, c.idx, keys)
+        val batched = Contribution.ofTarget(c.step, Seq(c.attr), parts, c.idx, keys).map(_._3)
         val single  = parts.map(Contribution.all(c.step, c.attr, _, c.idx).get)
         // frequency partitions are checked against exact by the test above
         val wrongC = parts.zip(single).filter(_._1.method != "frequency").flatMap { case (p, res) =>
@@ -364,6 +364,50 @@ class ContributionSpec extends SparkSpec with PropChecks {
     checkProp(Prop.forAllNoShrink(groupFrames, keySets, Gen.oneOf(true, false), Gen.oneOf(2, 4)) {
       (rows, keys, onKey, n) => checkGroupBy(rows, keys, if (onKey) keys.last else "p", n)
     }, minTests = 15)
+  }
+
+  /** Same sets and, to 1e-9, the same I, C and caption statistics (a NaN
+    * set mean matches NaN): the driver sums group values in the order the
+    * rows arrive, which depends on the query.
+    */
+  private def sameResult(a: ContributionResult, b: ContributionResult): Boolean = {
+    def close(x: Option[Double], y: Option[Double]) = x.size == y.size && x.zip(y).forall { case (u, v) =>
+      u == v || (u.isNaN && v.isNaN) || math.abs(u - v) < 1e-9 }
+    def fields(st: SetStats) = Seq(st.inShare, st.outShare, st.setMean, st.overallMean, st.overallSd)
+    close(Some(a.full), Some(b.full)) && a.perSet.keySet == b.perSet.keySet && a.stats.keySet == b.stats.keySet &&
+      a.perSet.forall { case (s, c) => close(Some(c), b.perSet.get(s)) } &&
+      a.stats.forall { case (s, st) => fields(st).zip(fields(b.stats(s))).forall { case (x, y) => close(x, y) } }
+  }
+
+  test("group-by: one query per target == Contribution.all per (column, partition) == exact") {
+    // kc coarsens the int key k, so a target on k yields frequency,
+    // numeric-bin and many-to-one partitions
+    var methods = Set.empty[String]
+    val keySets = Gen.oneOf(Seq("k"), Seq("k", "g"))
+    checkProp(Prop.forAllNoShrink(groupFrames, keySets, Gen.oneOf(2, 3)) { (rows, keys, n) =>
+      val din   = rows.toDF("g", "k", "v", "p").withColumn("kc", concat(lit("c"), (col("k") / 2).cast("int")))
+      val step  = Step(Seq(din), GroupByOp(keys, groupAggs))
+      val name  = s"group by ${keys.mkString(",")}, $n sets on ${keys.head}"
+      val parts = Partition.candidatesMulti(din, keys.head, Seq(n), enableManyToOne = true)
+      methods ++= parts.map(_.method)
+      val attrs   = groupAggs.map(_.alias) ++ keys
+      val batched = Contribution.ofTarget(step, attrs, parts, 0, Map.empty)
+      val single  = for { a <- attrs; p <- parts; res <- Contribution.all(step, a, p) } yield (a, p, res)
+      val differ  = batched.zip(single).collect { case ((a, p, x), (_, _, y)) if !sameResult(x, y) =>
+        s"$a over ${p.method} ${p.labelAttr}: per target $x, per pair $y" }
+      // frequency partitions are checked against exact by the test above
+      val wrongC = single.filter(_._2.method != "frequency").flatMap { case (a, p, res) =>
+        res.perSet.toSeq.flatMap { case (s, fc) =>
+          val ec = Contribution.exact(step, a, p, s).get
+          Option.when(math.abs(fc - ec) >= 1e-9)(s"$a over ${p.method} ${p.labelAttr}: C($s) fast=$fc exact=$ec")
+        }
+      }
+      Prop(batched.map(r => (r._1, r._2)) == single.map(r => (r._1, r._2))) :|
+        s"$name: per target ${batched.map(r => (r._1, r._2.method))} != per pair ${single.map(r => (r._1, r._2.method))}" &&
+        Prop(differ.isEmpty) :| s"$name: ${differ.mkString("; ")}" &&
+        Prop(wrongC.isEmpty) :| s"$name: ${wrongC.mkString("; ")}"
+    }, minTests = 6)
+    assert(methods === Set("frequency", "numeric", "many-to-one"))
   }
 
   // --------------------------------------------------------- standardized

@@ -144,7 +144,13 @@ class InterestingnessSpec extends SparkSpec with PropChecks {
   private val dims: Gen[Seq[(Int, Option[String], Option[Double])]] = Gen.choose(0, 6).flatMap(n =>
     Gen.listOfN(n, for { k <- Gen.choose(0, 4); u <- str("m", "n"); w <- dbl } yield (k, u, w)))
 
-  /** A filter (one predicate selects nothing), a join, and unions of 2 and 3. */
+  /** Aggregates over v, whose NaN and ±∞ reach sum, mean, max and min. */
+  private val aggs = Seq(AggSpec("count", "*", "n"), AggSpec("count", "v", "nv"), AggSpec("sum", "v", "sv"),
+    AggSpec("mean", "v", "mv"), AggSpec("max", "v", "xv"), AggSpec("min", "v", "iv"))
+
+  /** A filter (one predicate selects nothing), a join, unions of 2 and 3, and
+    * group-bys on a string key and on a (string, int) key pair.
+    */
   private val steps: Gen[Seq[(String, Step)]] = for {
     fs   <- Gen.listOfN(3, facts)
     d    <- dims
@@ -154,7 +160,9 @@ class InterestingnessSpec extends SparkSpec with PropChecks {
     Seq(s"filter $pred" -> Step(Seq(f0), FilterOp(pred)),
       "join" -> Step(Seq(f0, d.toDF("k", "u", "w")), JoinOp("k", "k", "l_", "r_")),
       "union of 2" -> Step(Seq(f0, f1), UnionOp()),
-      "union of 3" -> Step(Seq(f0, f1, f2), UnionOp()))
+      "union of 3" -> Step(Seq(f0, f1, f2), UnionOp()),
+      "group by c" -> Step(Seq(f0), GroupByOp(Seq("c"), aggs)),
+      "group by c, k" -> Step(Seq(f1), GroupByOp(Seq("c", "k"), aggs)))
   }
 
   /** `scores` against `score` per column, on `step` or, with `sampleRows`,
