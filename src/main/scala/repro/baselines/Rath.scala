@@ -57,7 +57,7 @@ object Rath {
             else {
               val pts = ok.flatMap { case (v, g) => scala.util.Try(g.toDouble).toOption.map(_ -> v) }
               if (pts.length < 3) None
-              else Some(RathInsight("trend", d, m, d, math.abs(pearson(pts.map(_._1), pts.map(_._2)))))
+              else Some(RathInsight("trend", d, m, d, math.abs(pearson(pts.map(_._1).toSeq, pts.map(_._2).toSeq))))
             }
           Seq(out, trend).flatten
         }

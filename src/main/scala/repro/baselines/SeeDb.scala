@@ -24,15 +24,8 @@ object SeeDb {
 
   /** Candidate dimensions: non-numeric or low-cardinality columns. */
   def dimensions(df: DataFrame, maxDistinct: Int, maxDims: Int): Seq[String] = {
-    val cols = df.columns.toSeq.filterNot(_ == Partition.LabelCol)
-    if (cols.isEmpty) return Seq.empty
-    val cards = df.agg(
-      approx_count_distinct(col(cols.head)).as(cols.head),
-      cols.tail.map(c => approx_count_distinct(col(c)).as(c)): _*
-    ).head()
-    cols.zipWithIndex
-      .filter { case (_, i) => cards.getLong(i) > 1 && cards.getLong(i) <= maxDistinct }
-      .map(_._1).take(maxDims)
+    val cards = Partition.profile(df)
+    df.columns.toSeq.filter(c => cards.get(c).exists(n => n > 1 && n <= maxDistinct)).take(maxDims)
   }
 
   /** Candidate measures: numeric columns. */

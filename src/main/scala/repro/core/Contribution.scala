@@ -52,7 +52,7 @@ object Contribution {
 
   /** Reference implementation: materialise D_in − R, re-apply q, re-score. */
   def exact(step: Step, attr: String, partition: RowPartition, set: String,
-            labeledIdx: Int = 0, maxBins: Int = 1024): Option[Double] = {
+            labeledIdx: Int = 0, maxBins: Int = Ks.MaxBins): Option[Double] = {
     val fullI   = Interestingness.score(step, attr, maxBins)
     val reduced = partition.labeled.where(!(col(LabelCol) <=> lit(set))).drop(LabelCol)
     val newStep = Step(step.inputs.updated(labeledIdx, reduced), step.op)
@@ -64,7 +64,7 @@ object Contribution {
     * column and one partition. Returns None when the measure does not apply.
     */
   def all(step: Step, attr: String, partition: RowPartition,
-          labeledIdx: Int = 0, maxBins: Int = 1024): Option[ContributionResult] =
+          labeledIdx: Int = 0, maxBins: Int = Ks.MaxBins): Option[ContributionResult] =
     ofTarget(step, Seq(attr), Seq(partition), labeledIdx,
       { case (i, c) => Ks.keyExpr(step.inputs(i), c, maxBins) }).headOption.map(_._3)
 

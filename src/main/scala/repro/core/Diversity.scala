@@ -36,14 +36,10 @@ object Diversity {
     * sample deviation and count of each column's finite values.
     */
   def cvs(df: DataFrame, columns: Seq[String]): Map[String, Double] =
-    if (columns.isEmpty) Map.empty
-    else {
-      val row = df.select(columns.map { c =>
-        val v = col(c).cast("double")
-        val finite = when(!isnan(v) && abs(v) =!= Double.PositiveInfinity, v)
-        val (m, s) = (avg(finite), stddev_samp(finite))
-        when(count(finite) >= 2 && m =!= 0.0 && !isnan(s), s / abs(m)).otherwise(0.0)
-      }: _*).head()
-      columns.zipWithIndex.map { case (c, i) => c -> row.getDouble(i) }.toMap
-    }
+    Partition.perColumn(df, columns) { c =>
+      val v = col(c).cast("double")
+      val finite = when(!isnan(v) && abs(v) =!= Double.PositiveInfinity, v)
+      val (m, s) = (avg(finite), stddev_samp(finite))
+      when(count(finite) >= 2 && m =!= 0.0 && !isnan(s), s / abs(m)).otherwise(0.0)
+    }(_.getDouble(_))
 }

@@ -22,13 +22,13 @@ final case class FedexConfig(
     nSets: Seq[Int] = Seq(5, 10),
     topKColumns: Int = 5,
     sampleRows: Option[Long] = None,
-    maxBins: Int = 1024,
+    maxBins: Int = Ks.MaxBins,
     wI: Double = 1.0,
     wC: Double = 1.0,
     userColumns: Option[Seq[String]] = None,
     enableManyToOne: Boolean = true,
     crossColumns: Boolean = false,
-    seed: Long = 42)
+    seed: Long = Sampling.Seed)
 
 /** One explanation candidate (R, A) with its quality scores (§3.4–3.6). */
 final case class ExplanationCandidate(
@@ -49,9 +49,14 @@ final case class Explanation(candidate: ExplanationCandidate, caption: String, w
 final case class FedexResult(columnScores: Map[String, Double],
                              candidates: Seq[ExplanationCandidate],
                              skyline: Seq[Explanation]) {
-  /** All candidates ranked by the weighted score (used by accuracy metrics). */
+  /** Every candidate key once, ranked by its best weighted score (used by
+    * accuracy metrics). The partitions of one attribute for different set
+    * counts share sets, so their candidates share keys; a set's C depends
+    * only on its rows, but C̄ on its partition.
+    */
   def rankedKeys(wI: Double = 1.0, wC: Double = 1.0): Seq[String] =
-    candidates.sortBy(c => (-c.weightedScore(wI, wC), c.key)).map(_.key)
+    candidates.groupMapReduce(_.key)(_.weightedScore(wI, wC))(math.max)
+      .toSeq.sortBy { case (k, s) => (-s, k) }.map(_._1)
 }
 
 /** FEDEX explanation generation (paper Algorithm 1). */
@@ -91,20 +96,14 @@ object Fedex {
         val excluded = excludedAttrs(step)
         step.outputAttrs.filterNot(excluded)
       }
-      val keyColumns = Interestingness.keyColumns(step, attrs)
 
       // One profile per input: the many-to-one pre-filter of its targets and
       // the distinct counts of its key spaces.
-      val profiles: Map[Int, Future[Partition.Profile]] =
-        ((if (cfg.enableManyToOne) step.outputAttrs.flatMap(partitionTargets(step, _)).map(_._1)
-          else Seq.empty) ++ keyColumns.keys).distinct
-          .map(idx => idx -> Future(Partition.profile(step.inputs(idx)))).toMap
+      val profiles = step.inputs.map(in => Future(Partition.profile(in)))
       // The full inputs' key spaces, once per (input, column): read by the
       // exact interestingness and by every contribution query.
       val fullKeys: Future[Interestingness.KeySpaces] =
-        Future.traverse(keyColumns.keys.toSeq)(i => profiles(i).map(i -> _)).map { known =>
-          Interestingness.keySpaces(step, step.inputs, attrs, cfg.maxBins, known.toMap)
-        }
+        Future.sequence(profiles).map(Interestingness.keySpaces(step, step.inputs, attrs, cfg.maxBins, _))
 
       // Lines 1-2 (+ sampling optimization): per-column interestingness.
       val columnScores = Interestingness.scores(step, attrs, cfg.maxBins, cfg.sampleRows, cfg.seed,

@@ -9,10 +9,13 @@ import org.apache.spark.sql.functions._
   */
 object Sampling {
 
+  /** The default seed of the draw. */
+  val Seed = 42L
+
   /** Uniformly sample `df` down to at most `rows` rows (deterministic in
     * `seed`). Returns `df` unchanged when it is already small enough.
     */
-  def uniform(df: DataFrame, rows: Long, seed: Long = 42): DataFrame = {
+  def uniform(df: DataFrame, rows: Long, seed: Long = Seed): DataFrame = {
     val n = df.count()
     if (n <= rows) df
     else {
@@ -37,7 +40,7 @@ object Interestingness {
     * measure does not apply (diversity over a non-numeric column, an
     * attribute with no source column, the synthetic partition label).
     */
-  def score(step: Step, attr: String, maxBins: Int = 1024): Option[Double] =
+  def score(step: Step, attr: String, maxBins: Int = Ks.MaxBins): Option[Double] =
     if (attr == LabelCol) None
     else step.op match {
       case _: GroupByOp => Option.when(Ks.isNumeric(step.output, attr))(Diversity.cv(step.output, attr))
@@ -53,9 +56,9 @@ object Interestingness {
     * computed on the sampled pair, with KS key spaces taken from the sample.
     * Each measure scores every column in one aggregation.
     */
-  def scores(step: Step, attrs: Seq[String], maxBins: Int = 1024,
-             sampleRows: Option[Long] = None, seed: Long = 42): Map[String, Double] =
-    scores(step, attrs, maxBins, sampleRows, seed, keySpaces(step, step.inputs, attrs, maxBins, Map.empty))
+  def scores(step: Step, attrs: Seq[String], maxBins: Int = Ks.MaxBins,
+             sampleRows: Option[Long] = None, seed: Long = Sampling.Seed): Map[String, Double] =
+    scores(step, attrs, maxBins, sampleRows, seed, keySpaces(step, step.inputs, attrs, maxBins, Seq.empty))
 
   /** `scores`, reading the full inputs' key spaces from `fullKeys` when it
     * scores the full data.
@@ -78,23 +81,23 @@ object Interestingness {
         Diversity.cvs(out, attrs.distinct.filter(a => a != LabelCol && Ks.isNumeric(out, a)))
       case _ =>
         exceptionality(step, ins, out, attrs,
-          if (drawn.isEmpty) fullKeys else keySpaces(step, ins, attrs, maxBins, Map.empty))
+          if (drawn.isEmpty) fullKeys else keySpaces(step, ins, attrs, maxBins, Seq.empty))
     } finally cached.foreach(_.unpersist())
   }
 
   /** The input columns whose KS key spaces scoring `attrs` reads, by input:
     * the sources of every attribute (none for group-by).
     */
-  private[core] def keyColumns(step: Step, attrs: Seq[String]): Map[Int, Seq[String]] =
+  private def keyColumns(step: Step, attrs: Seq[String]): Map[Int, Seq[String]] =
     attrs.filterNot(_ == LabelCol).flatMap(step.sources).distinct.groupMap(_._1)(_._2)
 
   /** The key space of every column `keyColumns` names, read from `ins`, one
-    * `Ks.keySpaces` per input; `known` holds distinct counts by input.
+    * `Ks.keySpaces` per input; `known` holds the inputs' profiles, if any.
     */
   private[core] def keySpaces(step: Step, ins: Seq[DataFrame], attrs: Seq[String], maxBins: Int,
-                              known: Map[Int, Map[String, Long]]): KeySpaces =
+                              known: Seq[Partition.Profile]): KeySpaces =
     keyColumns(step, attrs).flatMap { case (i, cols) =>
-      Ks.keySpaces(ins(i), cols, maxBins, known.getOrElse(i, Map.empty)).map { case (c, k) => (i, c) -> k }
+      Ks.keySpaces(ins(i), cols, maxBins, known.lift(i).getOrElse(Map.empty)).map { case (c, k) => (i, c) -> k }
     }
 
   /** Exceptionality of every attribute of `attrs`, from one aggregation.

@@ -10,10 +10,18 @@ import org.apache.spark.sql.types._
   * aggregation over the tagged union of both sides; the final sup-norm over
   * the two empirical CDFs is a linear driver pass over the (bounded) set of
   * distinct keys. Numeric columns whose distinct count exceeds `maxBins` are
-  * bucketised on quantile boundaries of the key-space side first (the
-  * statistic is then exact up to one bin's probability mass).
+  * bucketised on quantile boundaries of the key-space side first.
+  *
+  * Bucketing bound: the binned statistic compares both CDFs only at bucket
+  * boundaries, and within a bucket each CDF moves by at most the bucket's
+  * share of its side. So `binned <= exact <= binned + m`, where `exact` is
+  * the statistic over raw values and `m` the largest share of its side's
+  * non-null rows that one bucket holds, on either side.
   */
 object Ks {
+
+  /** The default bucketisation bound `maxBins`. */
+  val MaxBins = 1024
 
   /** Is `column` of a numeric Spark type in `df`? */
   def isNumeric(df: DataFrame, column: String): Boolean =
@@ -44,29 +52,17 @@ object Ks {
     math.min(1.0, d) // guard against float accumulation pushing past 1
   }
 
-  /** Quantile boundaries for bucketising a high-cardinality numeric column.
-    * Returned strictly increasing; may have fewer than `maxBins` cut points
-    * on skewed data.
+  /** Quantile boundaries for bucketising each high-cardinality numeric
+    * column of `columns`, from one aggregation of `Partition.quantiles` at
+    * the `maxBins`-quantiles. Each is strictly increasing and may have fewer
+    * than `maxBins - 1` cut points on skewed data.
     */
-  def boundaries(df: DataFrame, column: String, maxBins: Int): Array[Double] =
-    boundariesOf(df, Seq(column), maxBins)(column)
-
-  /** `boundaries` of every column of `columns`, from one aggregation: the
-    * `approx_percentile` that `approxQuantile` runs for a relative error of
-    * 0.001 (accuracy 1000), over the non-null, non-NaN values.
-    */
-  private def boundariesOf(df: DataFrame, columns: Seq[String], maxBins: Int): Map[String, Array[Double]] =
-    if (columns.isEmpty) Map.empty
-    else {
-      val probs = lit((1 until maxBins).map(_.toDouble / maxBins).toArray)
-      val row = df.select(columns.map { c =>
-        val v = col(c).cast("double")
-        approx_percentile(when(!isnan(v), v), probs, lit(1000))
-      }: _*).head()
-      columns.zipWithIndex.map { case (c, i) =>
-        c -> (if (row.isNullAt(i)) Array.empty[Double] else row.getSeq[Double](i).toArray.distinct.sorted)
-      }.toMap
+  private[core] def boundariesOf(df: DataFrame, columns: Seq[String], maxBins: Int): Map[String, Array[Double]] = {
+    lazy val probs = (1 until maxBins).map(_.toDouble / maxBins)
+    Partition.perColumn(df, columns)(Partition.quantiles(_, probs)) { (row, i) =>
+      if (row.isNullAt(i)) Array.empty[Double] else row.getSeq[Double](i).toArray.distinct.sorted
     }
+  }
 
   /** Index of the bucket `x` falls into for strictly increasing `bounds`
     * (bucket i covers (bounds(i-1), bounds(i)]; 0 covers (-inf, bounds(0)]).
@@ -89,22 +85,15 @@ object Ks {
     * categorical columns and numerics with at most `maxBins` distinct values,
     * a quantile-bucket index for the other numerics. `df` supplies the domain
     * (usually an input, which covers the output's values for the supported
-    * ops). At most two aggregations cover every column: one
-    * `approx_count_distinct` over the numerics whose count `knownDistinct`
-    * lacks (it takes counts from the same function, e.g. `Partition.profile`),
-    * and one percentile pass over the high-cardinality ones.
+    * ops). At most two aggregations cover every column: the
+    * `Partition.profile` of the numerics whose distinct count
+    * `knownDistinct` (a profile of `df`) lacks, and one `boundariesOf` pass
+    * over the high-cardinality ones.
     */
   def keySpaces(df: DataFrame, columns: Seq[String], maxBins: Int,
                 knownDistinct: Map[String, Long] = Map.empty): Map[String, KeySpace] = {
-    val numeric = columns.distinct.filter(isNumeric(df, _))
-    val unknown = numeric.filterNot(knownDistinct.contains)
-    val counted =
-      if (unknown.isEmpty) Map.empty[String, Long]
-      else {
-        val row = df.select(unknown.map(c => approx_count_distinct(col(c))): _*).head()
-        unknown.zipWithIndex.map { case (c, i) => c -> row.getLong(i) }.toMap
-      }
-    val distinct = knownDistinct ++ counted
+    val numeric  = columns.distinct.filter(isNumeric(df, _))
+    val distinct = knownDistinct ++ Partition.profile(df, numeric.filterNot(knownDistinct.contains))
     val bounds   = boundariesOf(df, numeric.filter(distinct(_) > maxBins), maxBins)
     columns.map { c =>
       c -> (if (!numeric.contains(c)) KeySpace(_.cast("string"), numeric = false)
@@ -122,7 +111,7 @@ object Ks {
   /** KS statistic between `a[column]` and `b[column]`. `a` decides
     * type/bucketisation so both sides share one key space.
     */
-  def statistic(a: DataFrame, b: DataFrame, column: String, maxBins: Int = 1024): Double = {
+  def statistic(a: DataFrame, b: DataFrame, column: String, maxBins: Int = MaxBins): Double = {
     val KeySpace(key, numeric) = keyExpr(a, column, maxBins)
     val tagged = a.select(key(col(column)).as("__k"), lit(0).as("__s"))
       .unionAll(b.select(key(col(column)).as("__k"), lit(1).as("__s")))

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -26,7 +26,8 @@ final case class RowPartition(method: String, attr: String, via: Option[String],
   * `candidatesMulti` computes each quantity once for all set counts: one
   * top-k query covers A and every mined B, and one quantile pass covers every
   * numeric bin count. A column profile (approximate distinct counts) can be
-  * shared by all targets on the same input.
+  * shared by all targets on the same input. The column statistics live
+  * here: `profile`, `quantiles` and `perColumn`.
   */
 object Partition {
 
@@ -37,18 +38,37 @@ object Partition {
   private val MaxLabelValues = 1000L
 
   /** Approximate distinct count of every column of an input. */
-  private[core] type Profile = Map[String, Long]
+  private[repro] type Profile = Map[String, Long]
 
-  /** The input's profile, in one aggregation: what the many-to-one
-    * pre-filter reads for every target on this input.
+  /** The input's profile: `profile` of every column but the label. */
+  private[repro] def profile(df: DataFrame): Profile = profile(df, df.columns.filterNot(_ == LabelCol).toSeq)
+
+  /** The approximate distinct count of each of `columns`, in one
+    * aggregation: what the many-to-one pre-filter, the KS key spaces and
+    * SEEDB's dimensions read.
     */
-  private[core] def profile(df: DataFrame): Profile = {
-    val cols = df.columns.filterNot(_ == LabelCol).toSeq
-    if (cols.isEmpty) Map.empty
+  private[repro] def profile(df: DataFrame, columns: Seq[String]): Profile =
+    perColumn(df, columns)(c => approx_count_distinct(col(c)))(_.getLong(_))
+
+  /** One aggregate `agg` per column of `columns`, in one `select`, each read
+    * back from the result row by `read` at the column's index; no query
+    * without columns.
+    */
+  private[core] def perColumn[T](df: DataFrame, columns: Seq[String])(agg: String => Column)
+                                (read: (Row, Int) => T): Map[String, T] =
+    if (columns.isEmpty) Map.empty
     else {
-      val row = df.select(cols.map(c => approx_count_distinct(col(c))): _*).head()
-      cols.zipWithIndex.map { case (c, i) => c -> row.getLong(i) }.toMap
+      val row = df.select(columns.map(agg): _*).head()
+      columns.zipWithIndex.map { case (c, i) => c -> read(row, i) }.toMap
     }
+
+  /** The quantile rule: `approx_percentile` at `probs` of the column's
+    * non-null, non-NaN values as doubles, at accuracy 1000, the aggregate
+    * `approxQuantile` runs for a relative error of 0.001.
+    */
+  private[core] def quantiles(column: String, probs: Seq[Double]): Column = {
+    val v = col(column).cast("double")
+    approx_percentile(when(!isnan(v), v), lit(probs.toArray), lit(1000))
   }
 
   /** Frequency-based partition: one set per top-`n` most frequent value of
@@ -98,22 +118,22 @@ object Partition {
     numericBinsMulti(df, attr, Seq(n)).head
 
   /** `numericBins` for every count in `ns`, from one aggregation: min, max
-    * and `approx_percentile` over the union of every n's probabilities, with
-    * the accuracy `approxQuantile` uses for a relative error of 0.001 (it
-    * runs the same aggregate). A quantile does not depend on which other
-    * probabilities are asked with it, and equal fractions k/n are the same
-    * double, so each n gets the bounds it would get alone.
+    * and the `quantiles` of the union of every n's probabilities. A quantile
+    * does not depend on which other probabilities are asked with it, and
+    * equal fractions k/n are the same double, so each n gets the bounds it
+    * would get alone.
     */
   private def numericBinsMulti(df: DataFrame, attr: String, ns: Seq[Int]): Seq[RowPartition] = {
     require(ns.forall(_ >= 1), "need at least one bin")
     require(Ks.isNumeric(df, attr), s"numeric partition needs a numeric column, got $attr")
     val probsOf  = ns.map(n => (1 until n).map(_.toDouble / n))
     val allProbs = probsOf.flatten.distinct
-    val named = df.select(col(attr).cast("double").as("__v")).na.drop()
-    val quantiles =
-      if (allProbs.isEmpty) Seq.empty
-      else Seq(approx_percentile(col("__v"), lit(allProbs.toArray), lit(1000)))
-    val stats = named.agg(min("__v"), max("__v") +: quantiles: _*).head()
+    // Null and NaN rows are dropped before aggregating: on a local frame the
+    // drop changes how rows split into partitions, and with it whether a
+    // quantile at a tie of 0.0 and -0.0 reads 0.0 or -0.0.
+    val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
+    val bounds = Option.when(allProbs.nonEmpty)(quantiles("__v", allProbs))
+    val stats  = named.agg(min("__v"), max("__v") +: bounds.toSeq: _*).head()
     if (stats.isNullAt(0)) // all-null column: single empty partition
       return ns.map(_ => RowPartition("numeric", attr, None,
         df.withColumn(LabelCol, lit(null).cast("string")), Seq.empty))
@@ -137,19 +157,17 @@ object Partition {
 
   /** Mine columns B with a many-to-one relationship from `attr` (§3.5):
     * (1) A functionally determines B and (2) B's partition is strictly
-    * coarser. Candidates are pre-filtered to ≤ `maxLabelValues` distinct
+    * coarser. Candidates are pre-filtered to ≤ `MaxLabelValues` distinct
     * values so the resulting explanation stays readable; FD checks for all
     * candidates run in a single aggregation pass.
     */
-  def manyToOneTargets(df: DataFrame, attr: String,
-                       maxLabelValues: Long = MaxLabelValues): Seq[String] =
-    manyToOneTargets(df, attr, profile(df), maxLabelValues)
+  def manyToOneTargets(df: DataFrame, attr: String): Seq[String] =
+    manyToOneTargets(df, attr, profile(df))
 
-  private def manyToOneTargets(df: DataFrame, attr: String, prof: Profile,
-                               maxLabelValues: Long): Seq[String] = {
+  private def manyToOneTargets(df: DataFrame, attr: String, prof: Profile): Seq[String] = {
     val cardA = prof(attr)
     val pre = df.columns.toSeq.filter { c =>
-      c != attr && c != LabelCol && prof(c) > 1 && prof(c) < cardA && prof(c) <= maxLabelValues
+      c != attr && c != LabelCol && prof(c) > 1 && prof(c) < cardA && prof(c) <= MaxLabelValues
     }
     functionallyDetermined(df, attr, pre)
   }
@@ -187,7 +205,7 @@ object Partition {
                                     prof: Option[Profile]): Seq[RowPartition] = {
     require(ns.forall(_ >= 1), "need at least one set")
     if (ns.isEmpty) return Seq.empty
-    val bs  = prof.fold(Seq.empty[String])(manyToOneTargets(df, attr, _, MaxLabelValues))
+    val bs  = prof.fold(Seq.empty[String])(manyToOneTargets(df, attr, _))
     val top = topValues(df, attr +: bs, ns.max)
     val binned = ns.filter(n => Ks.isNumeric(df, attr) && top(attr).size >= n)
     val numeric = if (binned.isEmpty) Map.empty[Int, RowPartition]

@@ -21,6 +21,7 @@ object Metrics {
     * averages (e.g. 74.8 → 10.8).
     */
   def kendallTauDistance[T](a: Seq[T], b: Seq[T]): Double = {
+    requireDistinct(a); requireDistinct(b)
     val items = (a ++ b).distinct.toIndexedSeq
     val ra    = a.zipWithIndex.toMap
     val rb    = b.zipWithIndex.toMap
@@ -42,6 +43,7 @@ object Metrics {
     * item at truth-rank r (0-based) has relevance (m − r); unranked items 0.
     */
   def ndcg[T](truth: Seq[T], pred: Seq[T]): Double = {
+    requireDistinct(truth); requireDistinct(pred)
     if (truth.isEmpty) return 1.0
     val m   = truth.size
     val rel = truth.zipWithIndex.map { case (x, r) => x -> (m - r).toDouble }.toMap
@@ -52,4 +54,8 @@ object Metrics {
     val ideal = dcg(truth)
     if (ideal == 0) 1.0 else dcg(pred) / ideal
   }
+
+  /** A ranking holds each item once: a repeated item has no one rank. */
+  private def requireDistinct[T](ranking: Seq[T]): Unit =
+    require(ranking.distinct.size == ranking.size, s"a ranking repeats items: ${ranking.diff(ranking.distinct)}")
 }

@@ -282,7 +282,7 @@ class ContributionSpec extends SparkSpec with PropChecks {
       cs.map { c =>
         val parts = Partition.candidatesMulti(c.step.inputs(c.idx), c.partitionOn, Seq(n), enableManyToOne = true)
         methods ++= parts.map(_.method)
-        val keys    = Interestingness.keySpaces(c.step, c.step.inputs, Seq(c.attr), 1024, Map.empty)
+        val keys    = Interestingness.keySpaces(c.step, c.step.inputs, Seq(c.attr), Ks.MaxBins, Seq.empty)
         val batched = Contribution.ofTarget(c.step, Seq(c.attr), parts, c.idx, keys).map(_._3)
         val single  = parts.map(Contribution.all(c.step, c.attr, _, c.idx).get)
         // frequency partitions are checked against exact by the test above

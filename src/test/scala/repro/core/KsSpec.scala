@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{PropChecks, SparkSpec}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 
@@ -99,7 +100,7 @@ class KsSpec extends SparkSpec with PropChecks {
 
   test("boundaries are sorted and distinct") {
     val df = spark.range(1000).selectExpr("cast(id % 17 as double) as v")
-    val b  = Ks.boundaries(df, "v", 8)
+    val b  = Ks.boundariesOf(df, Seq("v"), 8)("v")
     assert(b.sameElements(b.sorted))
     assert(b.distinct.length === b.length)
   }
@@ -148,6 +149,26 @@ class KsSpec extends SparkSpec with PropChecks {
     val exact  = Ks.statistic(a, b, "v", maxBins = 100000)
     val binned = Ks.statistic(a, b, "v", maxBins = 128)
     assert(math.abs(exact - binned) < 0.05, s"exact=$exact binned=$binned")
+  }
+
+  test("bucketing bound: binned <= exact <= binned + the largest bucket mass (property)") {
+    // finite values over 201 points and nulls, so most draws bucketise
+    val side = Gen.choose(1, 30).flatMap(Gen.listOfN(_, Gen.frequency(
+      1 -> Gen.const(Option.empty[Double]), 5 -> Gen.choose(-100, 100).map(i => Some(i * 0.25)))))
+    checkProp(Prop.forAllNoShrink(side, side, Gen.choose(2, 8)) { (as, bs, maxBins) =>
+      val (a, b)  = (as.toDF("v"), bs.toDF("v"))
+      val exact   = Ks.statistic(a, b, "v", maxBins = Int.MaxValue)
+      val binned  = Ks.statistic(a, b, "v", maxBins)
+      val buckets = Ks.keyExpr(a, "v", maxBins).key
+      // the largest share of one side's non-null rows that one bucket holds
+      def largest(df: DataFrame): Double = {
+        val keys = df.select(buckets(col("v"))).collect().flatMap(r => Option(r.getString(0)))
+        if (keys.isEmpty) 0.0 else keys.groupBy(identity).values.map(_.length).max.toDouble / keys.length
+      }
+      val mass = math.max(largest(a), largest(b))
+      Prop(binned <= exact + 1e-12) :| s"maxBins $maxBins: binned $binned > exact $exact" &&
+        Prop(exact <= binned + mass + 1e-12) :| s"maxBins $maxBins: exact $exact > binned $binned + $mass"
+    }, minTests = 25)
   }
 
   test("isNumeric detects numeric and non-numeric columns") {

@@ -7,7 +7,7 @@ import org.apache.spark.sql.SparkSession
   */
 object OneExplain {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.master("local[2]").appName("one-explain")
+    val spark = SparkSession.builder().master("local[2]").appName("one-explain")
       .config("spark.ui.enabled", value = false)
       .config("spark.driver.host", "127.0.0.1")
       .getOrCreate()

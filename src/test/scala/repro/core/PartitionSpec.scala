@@ -138,7 +138,10 @@ class PartitionSpec extends SparkSpec with PropChecks {
   }
 
   test("manyToOneTargets: maxLabelValues prunes high-cardinality targets") {
-    assert(!Partition.manyToOneTargets(songs, "year", maxLabelValues = 2).contains("decade"))
+    // a determines both b (1,500 values) and c (10): b passes every test but
+    // the 1,000-value cap
+    val df = spark.range(3000).selectExpr("id as a", "id div 2 as b", "id % 10 as c")
+    assert(Partition.manyToOneTargets(df, "a") === Seq("c"))
   }
 
   private def manyToOne(df: DataFrame, attr: String, n: Int): Seq[RowPartition] =

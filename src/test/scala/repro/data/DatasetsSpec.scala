@@ -26,14 +26,14 @@ class DatasetsSpec extends SparkSpec {
   test("spotify: decade is a many-to-one coarsening of year") {
     val bad = spotify.groupBy("year").agg(countDistinct("decade").as("d")).where("d > 1").count()
     assert(bad === 0)
-    val years   = spotify.select("year").distinct.count()
-    val decades = spotify.select("decade").distinct.count()
+    val years   = spotify.select("year").distinct().count()
+    val decades = spotify.select("decade").distinct().count()
     assert(decades < years && decades > 1)
   }
 
   test("spotify planted: 2010s+ songs are far more popular") {
-    val newPop = spotify.where("year >= 2010").agg(avg("popularity")).head.getDouble(0)
-    val oldPop = spotify.where("year < 1990").agg(avg("popularity")).head.getDouble(0)
+    val newPop = spotify.where("year >= 2010").agg(avg("popularity")).head().getDouble(0)
+    val oldPop = spotify.where("year < 1990").agg(avg("popularity")).head().getDouble(0)
     assert(newPop > oldPop + 20, s"new=$newPop old=$oldPop")
   }
 
@@ -47,40 +47,40 @@ class DatasetsSpec extends SparkSpec {
 
   test("spotify planted: 1990s songs are less loud than neighbouring decades") {
     def meanLoud(dec: String) =
-      spotify.where(col("decade") === dec).agg(avg("loudness")).head.getDouble(0)
+      spotify.where(col("decade") === dec).agg(avg("loudness")).head().getDouble(0)
     assert(meanLoud("1990s") < meanLoud("1980s") - 1.0)
     assert(meanLoud("1990s") < meanLoud("2000s") - 1.0)
   }
 
   test("spotify planted: 2020s songs are more danceable") {
-    val d2020 = spotify.where("decade = '2020s'").agg(avg("danceability")).head.getDouble(0)
-    val rest  = spotify.where("decade != '2020s'").agg(avg("danceability")).head.getDouble(0)
+    val d2020 = spotify.where("decade = '2020s'").agg(avg("danceability")).head().getDouble(0)
+    val rest  = spotify.where("decade != '2020s'").agg(avg("danceability")).head().getDouble(0)
     assert(d2020 > rest + 0.08)
   }
 
   test("spotify planted: acoustic songs are less popular") {
-    val ac  = spotify.where("acousticness > 0.5").agg(avg("popularity")).head.getDouble(0)
-    val non = spotify.where("acousticness <= 0.5").agg(avg("popularity")).head.getDouble(0)
+    val ac  = spotify.where("acousticness > 0.5").agg(avg("popularity")).head().getDouble(0)
+    val non = spotify.where("acousticness <= 0.5").agg(avg("popularity")).head().getDouble(0)
     assert(ac < non - 3)
   }
 
   test("spotify: value ranges are sane") {
     val r = spotify.agg(min("popularity"), max("popularity"), min("danceability"),
-      max("danceability"), min("year"), max("year")).head
+      max("danceability"), min("year"), max("year")).head()
     assert(r.getDouble(0) >= 0 && r.getDouble(1) <= 100)
     assert(r.getDouble(2) >= 0 && r.getDouble(3) <= 1)
     assert(r.getInt(4) >= 1950 && r.getInt(5) <= 2023)
   }
 
   test("spotify: skewed categorical columns exist (paper notes heavy skew)") {
-    val top = spotify.groupBy("genre").count().orderBy(desc("count")).head.getLong(1)
+    val top = spotify.groupBy("genre").count().orderBy(desc("count")).head().getLong(1)
     assert(top > 8000 / 8 * 2) // top genre well above uniform share
   }
 
   test("spotify: deterministic in (rows, seed)") {
     val again = Datasets.spotify(spark, rows = 8000, seed = 11)
-    val a = spotify.agg(sum("popularity"), sum("year")).head
-    val b = again.agg(sum("popularity"), sum("year")).head
+    val a = spotify.agg(sum("popularity"), sum("year")).head()
+    val b = again.agg(sum("popularity"), sum("year")).head()
     assert(a === b)
   }
 
@@ -105,21 +105,21 @@ class DatasetsSpec extends SparkSpec {
 
   test("bank planted: attrited customers transact less") {
     def m(flag: String, c: String) =
-      bank.where(col("Attrition_Flag") === flag).agg(avg(c)).head.getDouble(0)
+      bank.where(col("Attrition_Flag") === flag).agg(avg(c)).head().getDouble(0)
     assert(m("Attrited Customer", "Total_Transitions_Amount") <
            m("Existing Customer", "Total_Transitions_Amount") * 0.75)
   }
 
   test("bank planted: attrited customers were inactive longer and contacted more") {
     def m(flag: String, c: String) =
-      bank.where(col("Attrition_Flag") === flag).agg(avg(c)).head.getDouble(0)
+      bank.where(col("Attrition_Flag") === flag).agg(avg(c)).head().getDouble(0)
     assert(m("Attrited Customer", "Months_Inactive_Count_Last_Year") >
            m("Existing Customer", "Months_Inactive_Count_Last_Year") + 1.0)
     assert(m("Attrited Customer", "Contacts_Count") > m("Existing Customer", "Contacts_Count") + 0.8)
   }
 
   test("bank: Income_Category uses the real dataset's labels") {
-    val cats = bank.select("Income_Category").distinct.collect().map(_.getString(0)).toSet
+    val cats = bank.select("Income_Category").distinct().collect().map(_.getString(0)).toSet
     assert(cats.contains("Less than $40K"))
     assert(cats.subsetOf(Set("Less than $40K", "$40K - $60K", "$60K - $80K",
       "$80K - $120K", "$120K +", "Unknown")))

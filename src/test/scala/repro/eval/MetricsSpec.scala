@@ -65,6 +65,15 @@ class MetricsSpec extends AnyFunSuite with PropChecks {
     })
   }
 
+  test("Kendall-Tau and nDCG reject a ranking that repeats an item") {
+    // a repeated item has no one rank: nDCG would count its relevance twice
+    val dup = Seq("a", "b", "a")
+    for (metric <- Seq[(Seq[String], Seq[String]) => Double](Metrics.kendallTauDistance, Metrics.ndcg)) {
+      intercept[IllegalArgumentException](metric(dup, Seq("a", "b")))
+      intercept[IllegalArgumentException](metric(Seq("a", "b"), dup))
+    }
+  }
+
   // ------------------------------------------------------------------ nDCG
 
   test("nDCG of identical rankings is 1") {
