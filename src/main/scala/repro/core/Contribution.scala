@@ -70,103 +70,120 @@ object Contribution {
 
   /** Contributions of every partition of `parts` (all on input `labeledIdx`)
     * to each column of `attrs` the measure applies to, as (column, partition,
-    * result): one query per column for exceptionality, one in all for
-    * group-by. `keyOf` gives the KS key space of an (input, column): the
-    * partitioned input's when it is a source, else the first source's.
+    * result), column by column: one query in all for either measure. `keyOf`
+    * gives the KS key space of an (input, column).
     */
   def ofTarget(step: Step, attrs: Seq[String], parts: Seq[RowPartition], labeledIdx: Int,
-               keyOf: ((Int, String)) => Ks.KeySpace): Seq[(String, RowPartition, ContributionResult)] = {
-    def perColumn(filter: Option[String]) = attrs.flatMap(a =>
-      parts.zip(exceptionality(step, a, parts, labeledIdx, keyOf, filter)).map { case (p, r) => (a, p, r) })
+               keyOf: ((Int, String)) => Ks.KeySpace): Seq[(String, RowPartition, ContributionResult)] =
     step.op match {
-      case g: GroupByOp   => diversity(step, g, attrs, parts)
-      case FilterOp(pred) => perColumn(Some(pred))
-      case _              => perColumn(None)
+      case g: GroupByOp => diversity(step, g, attrs, parts)
+      case _ => exceptionality(step, attrs, parts.map(_.labeled), labeledIdx, keyOf)
+        .map { case (a, f, r) => (a, parts(f), r) }
     }
-  }
 
-  /** One aggregation over every partition of `parts`: `frame` of each,
-    * tagged with the partition's index `__p`, unioned and grouped by
-    * (`__p`, `by`). Collected once and split by index; each row holds `__p`,
-    * then `by`, then `aggs`.
+  /** One aggregation over the union of `frames`, grouped by `by`, whose
+    * first column is an int index. Collected once and split by that index;
+    * each row holds `by`, then `aggs`.
     */
-  private def perPartition(parts: Seq[RowPartition], frame: RowPartition => DataFrame,
-                           by: Seq[String], aggs: Seq[Column]): Seq[Seq[Row]] = {
-    val rows = parts.zipWithIndex
-      .map { case (p, i) => frame(p).withColumn("__p", lit(i)) }
-      .reduce(_.unionAll(_))
-      .groupBy(("__p" +: by).map(col): _*).agg(aggs.head, aggs.tail: _*).collect()
-      .groupBy(_.getInt(0))
-    parts.indices.map(i => rows.getOrElse(i, Array.empty).toSeq)
-  }
+  private def byIndex(frames: Seq[DataFrame], by: Seq[String], aggs: Seq[Column]): Map[Int, Seq[Row]] =
+    frames.reduce(_.unionAll(_)).groupBy(by.map(col): _*).agg(aggs.head, aggs.tail: _*)
+      .collect().toSeq.groupBy(_.getInt(0))
 
   // ------------------------------------------------------ exceptionality path
 
+  /** One KS comparison: output column `attr` against `column` of input
+    * `input`, both counted in the source's key space `space`.
+    */
+  private final case class Comparison(attr: String, input: Int, column: String, space: Ks.KeySpace)
+
   /** Filter, join and union: I = max over `step.sources(attr)` of KS(source,
     * output), for the full data and for every exclusion; C = I_full − I_excl.
-    * Returns one result per partition of `parts`, none when `attr` has no
-    * source. `filter` is the predicate of a filter step.
+    * Returns (column, frame index, result) for every column of `attrs` with a
+    * source and every frame of `labeled`, column by column. Each frame takes
+    * the place of input `labeledIdx` and carries the set labels;
+    * `Interestingness.scores` passes one frame whose labels are all null and
+    * reads each column's `full`.
     *
-    * One aggregation counts rows per (partition, set, key) on every side:
-    * each source input (the partitioned one carries its labels, the others a
-    * null label) and the output re-applied to the partitioned input, which
-    * keeps the label. Removing a set removes its cells from the partitioned
-    * input and the output, and no others, so the driver scores every
-    * exclusion of every partition from these counts.
+    * One aggregation counts rows per (comparison, set, key) on the input and
+    * on the output side. Each (frame, column, source) comparison has an int
+    * index, and each row emits one (index, key) pair per comparison its frame
+    * feeds, keyed in that source's key space: a source input those of its own
+    * comparisons (the partitioned input with its labels), the output
+    * re-applied to the frame, which keeps the label, those of all. The other
+    * source inputs are the same in every frame, so one scan of each counts
+    * them, with a null label, for all frames. A filter's output rows are a
+    * subset of its input rows, so one scan of the frame counts every row on
+    * the input side and the rows where the predicate holds on the output side
+    * too. Removing a set removes its cells from the partitioned input and the
+    * output, and no others, so the driver scores every exclusion of every
+    * frame from these counts.
     */
-  private def exceptionality(step: Step, attr: String, parts: Seq[RowPartition], labeledIdx: Int,
-                             keyOf: ((Int, String)) => Ks.KeySpace,
-                             filter: Option[String]): Seq[ContributionResult] = {
-    val sources = step.sources(attr)
-    if (sources.isEmpty || parts.isEmpty) return Seq.empty
-    val labeledSide = sources.indexWhere(_._1 == labeledIdx) // -1: not a source
-    val Ks.KeySpace(key, numeric) = keyOf(sources(labeledSide max 0))
-    val outSide = sources.size // the output's count follows the sources'
-    // A filter's output rows are a subset of its input rows: one scan of the
-    // labeled input counts both sides, where a tagged union would read it twice.
-    val (tagged, counts): (RowPartition => DataFrame, Seq[Column]) = filter match {
-      case Some(pred) =>
-        (_.labeled.select(col(LabelCol), key(col(attr)), expr(pred)),
-          Seq(count(lit(1)), count_if(col("__s"))))
-      case None =>
-        (p => {
-          val ins = step.inputs.updated(labeledIdx, p.labeled)
-          val sides = sources.map { case (i, c) =>
-            ins(i).select(if (i == labeledIdx) col(LabelCol) else lit(null).cast("string"), key(col(c)))
-          } :+ step.reapply(ins).select(col(LabelCol), key(col(attr)))
-          sides.zipWithIndex.map { case (df, j) => df.withColumn("__s", lit(j)) }.reduce(_.unionAll(_))
-        }, (0 to outSide).map(j => count_if(col("__s") === j)))
+  private[core] def exceptionality(step: Step, attrs: Seq[String], labeled: Seq[DataFrame], labeledIdx: Int,
+                                   keyOf: ((Int, String)) => Ks.KeySpace): Seq[(String, Int, ContributionResult)] = {
+    val cmps = attrs.flatMap(a => step.sources(a).map { case (i, c) => Comparison(a, i, c, keyOf((i, c))) })
+    if (cmps.isEmpty || labeled.isEmpty) return Seq.empty
+    val m = cmps.size
+    // (index, set, key, on the input side, on the output side) of each row of
+    // `df` for the comparisons `js`, indexed from `from`, whose column in `df` is `column`
+    def emit(df: DataFrame, from: Int, label: Column, js: Seq[Int], column: Comparison => String,
+             in: Column, out: Column): DataFrame = {
+      val pairs = js.map(j => struct(lit(from + j).as("j"), cmps(j).space.key(col(column(cmps(j)))).as("k")))
+      df.select(explode(array(pairs: _*)).as("t"), label.as("l"), in.as("i"), out.as("o"))
+        .select("t.j", "l", "t.k", "i", "o")
     }
-    perPartition(parts, tagged(_).toDF("__l", "__k", "__s"), Seq("__l", "__k"), counts)
-      .map(scoreSets(_, outSide, labeledSide, numeric))
+    def own(i: Int) = cmps.indices.filter(cmps(_).input == i)
+    // the other source inputs' cells, shared by every frame, from index `shared`
+    val shared = labeled.size * m
+    val frames = step.op match {
+      case FilterOp(pred) => labeled.zipWithIndex.map { case (df, f) =>
+        emit(df, f * m, col(LabelCol), cmps.indices, _.column, lit(true), expr(pred)) }
+      case _ =>
+        step.inputs.indices.filter(i => i != labeledIdx && own(i).nonEmpty).map { i =>
+          emit(step.inputs(i), shared, lit(null).cast("string"), own(i), _.column, lit(true), lit(false))
+        } ++ labeled.zipWithIndex.flatMap { case (df, f) =>
+          Option.when(own(labeledIdx).nonEmpty)(
+            emit(df, f * m, col(LabelCol), own(labeledIdx), _.column, lit(true), lit(false))).toSeq :+
+            emit(step.reapply(step.inputs.updated(labeledIdx, df)), f * m, col(LabelCol), cmps.indices, _.attr,
+              lit(false), lit(true))
+        }
+    }
+    val rows = byIndex(frames, Seq("j", "l", "k"), Seq(count_if(col("i")), count_if(col("o"))))
+    for {
+      a <- attrs
+      js = cmps.indices.filter(cmps(_).attr == a) if js.nonEmpty
+      f <- labeled.indices
+    } yield {
+      val sides = js.map(j => (Seq(f * m + j, shared + j).flatMap(rows.getOrElse(_, Seq.empty)), cmps(j).space.numeric))
+      (a, f, scoreSets(sides, js.indexWhere(cmps(_).input == labeledIdx)))
+    }
   }
 
-  /** One partition's contributions from its (partition, set, key, count per
-    * side) rows: `sides` source sides, then the output.
+  /** One (column, frame)'s contributions from the (index, set, key, input
+    * count, output count) rows of each of the column's comparisons, with
+    * whether its keys compare numerically. `labeledSide` is the comparison
+    * against the partitioned input, -1 when it is not a source.
     */
-  private def scoreSets(rows: Seq[Row], sides: Int, labeledSide: Int, numeric: Boolean): ContributionResult = {
-    // (set, key, count per side); a null key only counts toward the shares
-    val cells = rows.map { r =>
-      (Option(r.getString(1)), Option(r.getString(2)), (0 to sides).map(j => r.getLong(3 + j)))
-    }
-    val keyed = cells.collect { case (l, Some(k), cs) => (l, k, cs) }
+  private def scoreSets(sides: Seq[(Seq[Row], Boolean)], labeledSide: Int): ContributionResult = {
+    // per side, (set, key, input count, output count); a null key only counts toward the shares
+    val cells = sides.map(_._1.map(r => (Option(r.getString(1)), Option(r.getString(2)), r.getLong(3), r.getLong(4))))
 
-    def iScore(excluded: Option[String]): Double = {
-      val live = keyed.filter(c => excluded.isEmpty || c._1 != excluded)
-      def side(j: Int) = live.map { case (_, k, cs) => k -> cs(j) }
-      (0 until sides).map(j => Ks.fromCounts(side(j), side(sides), numeric)).max
-    }
-    /** Set `s`'s share of side `j`'s rows, null keys included. */
-    def share(j: Int, s: String): Option[Double] = {
-      val total = cells.map(_._3(j)).sum
-      Option.when(total > 0)(cells.collect { case (Some(`s`), _, cs) => cs(j) }.sum.toDouble / total)
+    def iScore(excluded: Option[String]): Double = cells.zip(sides.map(_._2)).map { case (cs, numeric) =>
+      val live = cs.collect { case (l, Some(k), in, out) if excluded.isEmpty || l != excluded => (k, in, out) }
+      Ks.fromCounts(live.map(c => c._1 -> c._2), live.map(c => c._1 -> c._3), numeric)
+    }.max
+    /** Set `s`'s share of the rows of one side, from (set, count) cells, null keys included. */
+    def share(counts: Seq[(Option[String], Long)], s: String): Option[Double] = {
+      val total = counts.map(_._2).sum
+      Option.when(total > 0)(counts.collect { case (Some(`s`), n) => n }.sum.toDouble / total)
     }
 
     val full   = iScore(None)
-    val sets   = keyed.flatMap(_._1).distinct
+    val sets   = cells.flatten.collect { case (Some(l), Some(_), _, _) => l }.distinct
     val perSet = sets.map(s => s -> (full - iScore(Some(s)))).toMap
+    // each output row is counted once on every side's output, so any side gives its shares
     val stats  = sets.map(s => s -> SetStats(
-      inShare = if (labeledSide < 0) None else share(labeledSide, s), outShare = share(sides, s))).toMap
+      inShare = cells.lift(labeledSide).flatMap(cs => share(cs.map(c => c._1 -> c._3), s)),
+      outShare = share(cells.head.map(c => c._1 -> c._4), s))).toMap
     ContributionResult(full, perSet, stats)
   }
 
@@ -197,7 +214,9 @@ object Contribution {
     }
     // each row: the partition, the keys, the set, the row count, then sum,
     // count, max, min per explained source column
-    val rowsOf = parts.zip(perPartition(parts, _.labeled, g.keys :+ LabelCol, aggExprs))
+    val rows = byIndex(parts.zipWithIndex.map { case (p, i) => p.labeled.withColumn("__p", lit(i)) },
+      "__p" +: g.keys :+ LabelCol, aggExprs)
+    val rowsOf = parts.zipWithIndex.map { case (p, i) => (p, rows.getOrElse(i, Seq.empty)) }
     val nk = g.keys.size
     def num(r: Row, i: Int) = Option.when(!r.isNullAt(i))(r.getAs[Number](i).doubleValue)
     for { (a, AggSpec(func, column, _)) <- specs; (p, rows) <- rowsOf } yield {

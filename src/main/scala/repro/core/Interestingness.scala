@@ -61,28 +61,29 @@ object Interestingness {
     scores(step, attrs, maxBins, sampleRows, seed, keySpaces(step, step.inputs, attrs, maxBins, Seq.empty))
 
   /** `scores`, reading the full inputs' key spaces from `fullKeys` when it
-    * scores the full data.
+    * scores the full data. Exceptionality is the `full` of
+    * `Contribution.exceptionality` over one frame whose labels are all null,
+    * so a column's I and its contributions come from one counting query.
     */
   private[core] def scores(step: Step, attrs: Seq[String], maxBins: Int, sampleRows: Option[Long],
                            seed: Long, fullKeys: => KeySpaces): Map[String, Double] = {
     val sampled = sampleRows.map(k => step.inputs.map(Sampling.uniform(_, k, seed)))
-    // Only frames this call made are cached and unpersisted: an input within
-    // the cap comes back as the caller's own frame, and with every input
-    // kept, the re-applied output would have the plan of `step.output`.
+    // Only frames this call drew are cached and unpersisted: an input within
+    // the cap comes back as the caller's own frame.
     val drawn = sampled.toSeq.flatMap(_.zip(step.inputs).collect { case (s, in) if s ne in => s })
-    val (ins, out) = sampled match {
-      case Some(s) if drawn.nonEmpty => (s, step.reapply(s))
-      case _                         => (step.inputs, step.output)
-    }
-    val cached = if (drawn.isEmpty) Seq.empty else drawn :+ out
-    cached.foreach(_.cache())
+    val ins   = if (drawn.isEmpty) step.inputs else sampled.get
+    val cols  = attrs.distinct.filterNot(_ == LabelCol)
+    drawn.foreach(_.cache())
     try step.op match {
       case _: GroupByOp =>
-        Diversity.cvs(out, attrs.distinct.filter(a => a != LabelCol && Ks.isNumeric(out, a)))
+        val out = if (drawn.isEmpty) step.output else step.reapply(ins)
+        Diversity.cvs(out, cols.filter(Ks.isNumeric(out, _)))
       case _ =>
-        exceptionality(step, ins, out, attrs,
-          if (drawn.isEmpty) fullKeys else keySpaces(step, ins, attrs, maxBins, Seq.empty))
-    } finally cached.foreach(_.unpersist())
+        val keys = if (drawn.isEmpty) fullKeys else keySpaces(step, ins, cols, maxBins, Seq.empty)
+        val unlabeled = ins.head.withColumn(LabelCol, lit(null).cast("string"))
+        Contribution.exceptionality(Step(ins, step.op), cols, Seq(unlabeled), 0, keys)
+          .map { case (a, _, r) => a -> r.full }.toMap
+    } finally drawn.foreach(_.unpersist())
   }
 
   /** The input columns whose KS key spaces scoring `attrs` reads, by input:
@@ -99,35 +100,4 @@ object Interestingness {
     keyColumns(step, attrs).flatMap { case (i, cols) =>
       Ks.keySpaces(ins(i), cols, maxBins, known.lift(i).getOrElse(Map.empty)).map { case (c, k) => (i, c) -> k }
     }
-
-  /** Exceptionality of every attribute of `attrs`, from one aggregation.
-    * Each (attribute, source) comparison gets an index; every input emits
-    * the (index, key) pairs of its own comparisons, the output those of all;
-    * one `groupBy(index, key)` counts both sides. The driver takes the KS
-    * statistic of each comparison and the max per attribute.
-    */
-  private def exceptionality(step: Step, ins: Seq[DataFrame], out: DataFrame, attrs: Seq[String],
-                             keys: KeySpaces): Map[String, Double] = {
-    final case class Comparison(attr: String, input: Int, column: String, space: Ks.KeySpace)
-    val cmps = attrs.distinct.filterNot(_ == LabelCol)
-      .flatMap(a => step.sources(a).map { case (i, c) => Comparison(a, i, c, keys((i, c))) })
-    if (cmps.isEmpty) return Map.empty
-    // (index, key) of each row of `df` for the comparisons `js`, whose column in `df` is `column`
-    def emit(df: DataFrame, side: Int, js: Seq[Int], column: Comparison => String): DataFrame = {
-      val pairs = js.map(j => struct(lit(j).as("j"), cmps(j).space.key(col(column(cmps(j)))).as("k")))
-      df.select(explode(array(pairs: _*)).as("t")).select(col("t.j"), col("t.k"), lit(side).as("s"))
-    }
-    val sides = ins.indices.flatMap { i =>
-      val own = cmps.indices.filter(cmps(_).input == i)
-      Option.when(own.nonEmpty)(emit(ins(i), 0, own, _.column))
-    } :+ emit(out, 1, cmps.indices, _.attr)
-    val cells = sides.reduce(_.unionAll(_)).where(col("k").isNotNull)
-      .groupBy("j", "k").agg(count_if(col("s") === 0), count_if(col("s") === 1))
-      .collect().groupBy(_.getInt(0))
-    cmps.zipWithIndex.map { case (cmp, j) =>
-      val cs = cells.getOrElse(j, Array.empty)
-      cmp.attr -> Ks.fromCounts(cs.map(r => r.getString(1) -> r.getLong(2)),
-        cs.map(r => r.getString(1) -> r.getLong(3)), cmp.space.numeric)
-    }.groupMapReduce(_._1)(_._2)(math.max)
-  }
 }

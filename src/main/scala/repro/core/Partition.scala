@@ -64,10 +64,12 @@ object Partition {
 
   /** The quantile rule: `approx_percentile` at `probs` of the column's
     * non-null, non-NaN values as doubles, at accuracy 1000, the aggregate
-    * `approxQuantile` runs for a relative error of 0.001.
+    * `approxQuantile` runs for a relative error of 0.001. Values are read
+    * with -0.0 as 0.0: at a tie of the two zeros, which one a quantile
+    * returns depends on how the rows split into partitions.
     */
   private[core] def quantiles(column: String, probs: Seq[Double]): Column = {
-    val v = col(column).cast("double")
+    val v = col(column).cast("double") + 0.0 // -0.0 + 0.0 is 0.0
     approx_percentile(when(!isnan(v), v), lit(probs.toArray), lit(1000))
   }
 
@@ -128,16 +130,15 @@ object Partition {
     require(Ks.isNumeric(df, attr), s"numeric partition needs a numeric column, got $attr")
     val probsOf  = ns.map(n => (1 until n).map(_.toDouble / n))
     val allProbs = probsOf.flatten.distinct
-    // Null and NaN rows are dropped before aggregating: on a local frame the
-    // drop changes how rows split into partitions, and with it whether a
-    // quantile at a tie of 0.0 and -0.0 reads 0.0 or -0.0.
+    // Null and NaN rows are dropped before aggregating: NaN would be the max.
     val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
     val bounds = Option.when(allProbs.nonEmpty)(quantiles("__v", allProbs))
     val stats  = named.agg(min("__v"), max("__v") +: bounds.toSeq: _*).head()
     if (stats.isNullAt(0)) // all-null column: single empty partition
       return ns.map(_ => RowPartition("numeric", attr, None,
         df.withColumn(LabelCol, lit(null).cast("string")), Seq.empty))
-    val lo = stats.getDouble(0); val hi = stats.getDouble(1)
+    // -0.0 read as 0.0, as `quantiles` reads it: min and max return either zero at a tie
+    val lo = stats.getDouble(0) + 0.0; val hi = stats.getDouble(1) + 0.0
     val quantile = if (allProbs.isEmpty) Map.empty[Double, Double]
                    else allProbs.zip(stats.getSeq[Double](2)).toMap
     probsOf.map { probs =>

@@ -282,8 +282,10 @@ class ContributionSpec extends SparkSpec with PropChecks {
       cs.map { c =>
         val parts = Partition.candidatesMulti(c.step.inputs(c.idx), c.partitionOn, Seq(n), enableManyToOne = true)
         methods ++= parts.map(_.method)
-        val keys    = Interestingness.keySpaces(c.step, c.step.inputs, Seq(c.attr), Ks.MaxBins, Seq.empty)
-        val batched = Contribution.ofTarget(c.step, Seq(c.attr), parts, c.idx, keys).map(_._3)
+        // every column with a source shares the one query
+        val attrs   = c.step.outputAttrs.filter(c.step.sources(_).nonEmpty)
+        val keys    = Interestingness.keySpaces(c.step, c.step.inputs, attrs, Ks.MaxBins, Seq.empty)
+        val batched = Contribution.ofTarget(c.step, attrs, parts, c.idx, keys).collect { case (c.attr, _, r) => r }
         val single  = parts.map(Contribution.all(c.step, c.attr, _, c.idx).get)
         // frequency partitions are checked against exact by the test above
         val wrongC = parts.zip(single).filter(_._1.method != "frequency").flatMap { case (p, res) =>
@@ -297,6 +299,35 @@ class ContributionSpec extends SparkSpec with PropChecks {
       }.reduce(_ && _)
     }, minTests = 6)
     assert(methods === Set("frequency", "numeric", "many-to-one"))
+  }
+
+  test("one I for both phases: each exceptionality result's full is Interestingness.scores' I, bit for bit") {
+    // maxBins = 3 bucketises id, k and v, in each input's own key space
+    checkProp(Prop.forAllNoShrink(targetCases, Gen.oneOf(3, 1024)) { (cs, maxBins) =>
+      cs.map { c =>
+        val attrs  = c.step.outputAttrs
+        val parts  = Partition.candidatesMulti(c.step.inputs(c.idx), c.partitionOn, Seq(2), enableManyToOne = true)
+        val keys   = Interestingness.keySpaces(c.step, c.step.inputs, attrs, maxBins, Seq.empty)
+        val scores = Interestingness.scores(c.step, attrs, maxBins)
+        val wrong  = Contribution.ofTarget(c.step, attrs, parts, c.idx, keys).collect {
+          case (a, p, r) if !scores.get(a).exists(i => java.lang.Double.compare(i, r.full) == 0) =>
+            s"$a over ${p.method} ${p.labelAttr}: full ${r.full}, I ${scores.get(a)}"
+        }
+        Prop(wrong.isEmpty) :| s"$c, maxBins $maxBins: ${wrong.mkString("; ")}"
+      }.reduce(_ && _)
+    }, minTests = 6)
+  }
+
+  test("exceptionality: one query per target, however many columns it explains") {
+    val step  = Step(Seq(planted), FilterOp("value > 60"))
+    val parts = Seq(2, 3).map(Partition.frequency(planted, "category", _))
+    val attrs = Seq("category", "decade", "value")
+    val keys  = Interestingness.keySpaces(step, step.inputs, attrs, Ks.MaxBins, Seq.empty)
+    planted.count() // cache the input before counting
+    val (one, three) = (sparkJobs(Contribution.ofTarget(step, attrs.take(1), parts, 0, keys)),
+      sparkJobs(Contribution.ofTarget(step, attrs, parts, 0, keys)))
+    assert(one > 0)
+    assert(one === three)
   }
 
   // ------------------------------- group-by fast == exact on random frames

@@ -1,13 +1,11 @@
 package repro.core
 
 import repro.SparkSpec
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
-import org.scalatest.concurrent.Eventually._
 import java.io.File
 import java.lang.management.ManagementFactory
 import java.nio.file.{Files, Paths}
-import java.util.concurrent.{ConcurrentLinkedQueue, TimeUnit}
+import java.util.concurrent.TimeUnit
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration._
 import scala.jdk.CollectionConverters._
@@ -184,33 +182,11 @@ class ExplainSpec extends SparkSpec {
   test("group-by: an explain runs as many Spark jobs for one explained column as for three") {
     val step = Step(Seq(mini), GroupByOp(Seq("decade"), Seq(AggSpec("mean", "loudness", "ml"),
       AggSpec("max", "popularity", "xp"), AggSpec("sum", "noise", "sn"))))
-    val sc = spark.sparkContext
-    val groups = new ConcurrentLinkedQueue[String]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach(groups.add)
-    }
-    // Jobs of the explain's pool threads carry the group set on this thread,
-    // which they inherit. The listener bus delivers events in order, so once
-    // a marker job run after the explain is seen, every explain job is too.
-    def jobs(topK: Int): Int = {
-      val group = s"explain-jobs-top$topK"
-      def inGroup[T](g: String)(body: => T): T = {
-        sc.setJobGroup(g, g)
-        try body finally sc.clearJobGroup()
-      }
-      inGroup(group)(Fedex.explain(step, fastCfg.copy(topKColumns = topK)))
-      inGroup(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
-      eventually(timeout(30.seconds))(assert(groups.contains(s"$group-marker")))
-      groups.asScala.count(_ == group)
-    }
     mini.count() // cache the input before counting
-    sc.addSparkListener(listener)
-    try {
-      val (one, three) = (jobs(1), jobs(4))
-      assert(one > 0)
-      assert(one === three)
-    } finally sc.removeSparkListener(listener)
+    val (one, three) = (sparkJobs(Fedex.explain(step, fastCfg.copy(topKColumns = 1))),
+      sparkJobs(Fedex.explain(step, fastCfg.copy(topKColumns = 4))))
+    assert(one > 0)
+    assert(one === three)
   }
 
   test("a JVM that runs one explain exits on its own") {

@@ -152,9 +152,10 @@ class KsSpec extends SparkSpec with PropChecks {
   }
 
   test("bucketing bound: binned <= exact <= binned + the largest bucket mass (property)") {
-    // finite values over 201 points and nulls, so most draws bucketise
+    // values over 201 points, NaN, ±∞ and nulls, so most draws bucketise
     val side = Gen.choose(1, 30).flatMap(Gen.listOfN(_, Gen.frequency(
-      1 -> Gen.const(Option.empty[Double]), 5 -> Gen.choose(-100, 100).map(i => Some(i * 0.25)))))
+      1 -> Gen.const(Option.empty[Double]), 5 -> Gen.choose(-100, 100).map(i => Some(i * 0.25)),
+      1 -> Gen.oneOf(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).map(Some(_)))))
     checkProp(Prop.forAllNoShrink(side, side, Gen.choose(2, 8)) { (as, bs, maxBins) =>
       val (a, b)  = (as.toDF("v"), bs.toDF("v"))
       val exact   = Ks.statistic(a, b, "v", maxBins = Int.MaxValue)

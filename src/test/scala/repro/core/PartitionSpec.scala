@@ -100,6 +100,18 @@ class PartitionSpec extends SparkSpec with PropChecks {
     assert(p.sets.nonEmpty)
   }
 
+  test("numericBins and KS boundaries read a 0.0/-0.0 tie as 0.0, however the rows split") {
+    val vs = Seq(None, Some(-3.0), Some(-0.0), None, Some(2.0), None, Some(2.0), Some(4.0),
+      Some(-0.0), Some(-3.0), Some(0.0))
+    val frames = Seq(1, 4).map(spark.sparkContext.parallelize(vs, _).toDF("v"))
+    val reads = (frames :+ frames.last.na.drop()).map { df =>
+      (2 to 5).map(n => Partition.numericBins(df, "v", n).sets) ++
+        (2 to 5).map(b => Ks.boundariesOf(df, Seq("v"), b)("v").map(_.toString).toSeq)
+    }
+    assert(reads.distinct.size === 1, reads)
+    assert(!reads.head.flatten.exists(_.contains("-0.0")), reads.head)
+  }
+
   test("numericBins rejects non-numeric columns") {
     intercept[IllegalArgumentException] {
       Partition.numericBins(songs, "decade", 3)
@@ -199,16 +211,18 @@ class PartitionSpec extends SparkSpec with PropChecks {
       .orderBy(desc("count"), asc("__v"))
       .limit(n).collect().map(_.getString(0)).toSeq
 
-  /** Reference numeric bin labels: a quantile pass for this n alone. */
+  /** Reference numeric bin labels: a quantile pass for this n alone, with
+    * -0.0 read as 0.0.
+    */
   private def refBins(df: DataFrame, attr: String, n: Int): Seq[String] = {
     val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
     val probs  = (1 until n).map(_.toDouble / n).toArray
     val bounds = if (probs.isEmpty) Array.empty[Double]
-                 else named.stat.approxQuantile("__v", probs, 0.001).distinct.sorted
+                 else named.stat.approxQuantile("__v", probs, 0.001).map(_ + 0.0).distinct.sorted
     val ext = named.agg(min("__v"), max("__v")).head()
     if (ext.isNullAt(0)) Seq.empty
     else {
-      val lo = ext.getDouble(0); val hi = ext.getDouble(1)
+      val lo = ext.getDouble(0) + 0.0; val hi = ext.getDouble(1) + 0.0
       val edges = (lo +: bounds.toSeq :+ hi).distinct.sorted
       if (edges.size < 2) Seq(f"[$lo%.4g, $hi%.4g]")
       else edges.sliding(2).map(w => f"[${w.head}%.4g, ${w.last}%.4g]").toSeq
