@@ -66,7 +66,7 @@ object Contribution {
   def all(step: Step, attr: String, partition: RowPartition,
           labeledIdx: Int = 0, maxBins: Int = Ks.MaxBins): Option[ContributionResult] =
     ofTarget(step, Seq(attr), Seq(partition), labeledIdx,
-      { case (i, c) => Ks.keyExpr(step.inputs(i), c, maxBins) }).headOption.map(_._3)
+      { case (i, c) => Ks.keySpaces(step.inputs(i), Seq(c), maxBins)(c) }).headOption.map(_._3)
 
   /** Contributions of every partition of `parts` (all on input `labeledIdx`)
     * to each column of `attrs` the measure applies to, as (column, partition,

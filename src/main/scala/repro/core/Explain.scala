@@ -89,8 +89,8 @@ object Fedex {
 
     // Everything below runs on one pool as composed futures, so no pool
     // thread waits on another: each input's profile and the full inputs' KS
-    // key spaces while the columns are scored, then each target's
-    // partitions, then its contributions as soon as they are built.
+    // key spaces while the columns are scored, then each input's
+    // partitions, then each target's contributions as soon as they are built.
     val (columnScores, scored) = withPool { implicit ec =>
       val attrs = cfg.userColumns.getOrElse {
         val excluded = excludedAttrs(step)
@@ -111,23 +111,21 @@ object Fedex {
       val topCols = columnScores.toSeq.sortBy { case (a, s) => (-s, a) }
         .take(cfg.topKColumns).map(_._1)
 
-      // Lines 3-6: row partitions per target attribute (shared across columns).
+      // Lines 3-6: row partitions, one `Partition.candidates` call per input
+      // for all of its targets (shared across columns).
       val targets: Seq[(Int, String)] = topCols.flatMap(partitionTargets(step, _)).distinct
-      val partitionsByTarget: Map[(Int, String), Future[Seq[RowPartition]]] =
-        targets.map { case (idx, pattr) =>
-          val profile = if (cfg.enableManyToOne) profiles(idx).map(Some(_)) else Future.successful(None)
-          (idx, pattr) -> profile.map { prof =>
-            val parts = Partition.candidatesMulti(step.inputs(idx), pattr, cfg.nSets, prof)
-            // identical partitions (e.g. n=5 and n=10 over a 3-value column) dedupe
-            parts.groupBy(p => (p.method, p.labelAttr, p.sets)).values.map(_.head).toSeq
-          }
-        }.toMap
+      val partitions = targets.groupMap(_._1)(_._2).map { case (idx, pattrs) =>
+        idx -> profiles(idx).map(p =>
+          Partition.candidates(step.inputs(idx), pattrs, cfg.nSets, Option.when(cfg.enableManyToOne)(p)))
+      }
 
       // Lines 7-12: contributions of each target's partitions to the top
       // columns explained on it, one `Contribution.ofTarget` call per target.
-      val perTarget = Future.traverse(targets) { t =>
+      val perTarget = Future.traverse(targets) { case t @ (idx, pattr) =>
         val cols = topCols.filter(a => cfg.crossColumns || partitionTargets(step, a).contains(t))
-        partitionsByTarget(t).zipWith(fullKeys)(Contribution.ofTarget(step, cols, _, t._1, _))
+        // identical partitions (e.g. n=5 and n=10 over a 3-value column) dedupe
+        val parts = partitions(idx).map(_(pattr).groupBy(p => (p.method, p.labelAttr, p.sets)).values.map(_.head).toSeq)
+        parts.zipWith(fullKeys)(Contribution.ofTarget(step, cols, _, idx, _))
       }
       (columnScores, Await.result(perTarget, Duration.Inf).flatten)
     }

@@ -104,15 +104,11 @@ object Ks {
     }.toMap
   }
 
-  /** The key space of one column: `keySpaces` of `column` alone. */
-  def keyExpr(statsFrom: DataFrame, column: String, maxBins: Int): KeySpace =
-    keySpaces(statsFrom, Seq(column), maxBins)(column)
-
   /** KS statistic between `a[column]` and `b[column]`. `a` decides
     * type/bucketisation so both sides share one key space.
     */
   def statistic(a: DataFrame, b: DataFrame, column: String, maxBins: Int = MaxBins): Double = {
-    val KeySpace(key, numeric) = keyExpr(a, column, maxBins)
+    val KeySpace(key, numeric) = keySpaces(a, Seq(column), maxBins)(column)
     val tagged = a.select(key(col(column)).as("__k"), lit(0).as("__s"))
       .unionAll(b.select(key(col(column)).as("__k"), lit(1).as("__s")))
       .where(col("__k").isNotNull)

@@ -23,11 +23,11 @@ final case class RowPartition(method: String, attr: String, via: Option[String],
   * the set labels, then label rows with a plain column expression, so the
   * labelled dataframe stays lazy and re-usable across contribution passes.
   *
-  * `candidatesMulti` computes each quantity once for all set counts: one
-  * top-k query covers A and every mined B, and one quantile pass covers every
-  * numeric bin count. A column profile (approximate distinct counts) can be
-  * shared by all targets on the same input. The column statistics live
-  * here: `profile`, `quantiles` and `perColumn`.
+  * `candidates` computes each quantity once for all targets of one input and
+  * all set counts: one functional-dependency pass, one top-k query and one
+  * quantile pass, with the input's column profile (approximate distinct
+  * counts). The column statistics live here: `profile`, `quantiles` and
+  * `perColumn`.
   */
 object Partition {
 
@@ -116,104 +116,107 @@ object Partition {
     * empty apart from null values. Skewed columns may collapse to fewer bins
     * when quantile boundaries coincide.
     */
-  def numericBins(df: DataFrame, attr: String, n: Int): RowPartition =
-    numericBinsMulti(df, attr, Seq(n)).head
-
-  /** `numericBins` for every count in `ns`, from one aggregation: min, max
-    * and the `quantiles` of the union of every n's probabilities. A quantile
-    * does not depend on which other probabilities are asked with it, and
-    * equal fractions k/n are the same double, so each n gets the bounds it
-    * would get alone.
-    */
-  private def numericBinsMulti(df: DataFrame, attr: String, ns: Seq[Int]): Seq[RowPartition] = {
-    require(ns.forall(_ >= 1), "need at least one bin")
+  def numericBins(df: DataFrame, attr: String, n: Int): RowPartition = {
+    require(n >= 1, "need at least one bin")
     require(Ks.isNumeric(df, attr), s"numeric partition needs a numeric column, got $attr")
-    val probsOf  = ns.map(n => (1 until n).map(_.toDouble / n))
-    val allProbs = probsOf.flatten.distinct
-    // Null and NaN rows are dropped before aggregating: NaN would be the max.
-    val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
-    val bounds = Option.when(allProbs.nonEmpty)(quantiles("__v", allProbs))
-    val stats  = named.agg(min("__v"), max("__v") +: bounds.toSeq: _*).head()
-    if (stats.isNullAt(0)) // all-null column: single empty partition
-      return ns.map(_ => RowPartition("numeric", attr, None,
-        df.withColumn(LabelCol, lit(null).cast("string")), Seq.empty))
-    // -0.0 read as 0.0, as `quantiles` reads it: min and max return either zero at a tie
-    val lo = stats.getDouble(0) + 0.0; val hi = stats.getDouble(1) + 0.0
-    val quantile = if (allProbs.isEmpty) Map.empty[Double, Double]
-                   else allProbs.zip(stats.getSeq[Double](2)).toMap
-    probsOf.map { probs =>
-      val bounds = probs.map(quantile).distinct.sorted
-      val edges  = (lo +: bounds :+ hi).distinct.sorted
-      val labels =
-        if (edges.size < 2) Seq(f"[$lo%.4g, $hi%.4g]")
-        else edges.sliding(2).map(w => f"[${w.head}%.4g, ${w.last}%.4g]").toSeq
-      val inner = edges.slice(1, edges.size - 1) // cut points between bins
-      val v     = col(attr).cast("double")
-      val expr0 = inner.zipWithIndex.foldLeft(when(v.isNull, lit(null).cast("string"))) {
-        case (acc, (cut, i)) => acc.when(v <= cut, lit(labels(i)))
+    numericBinsOf(df, Map(attr -> Seq(n)))((attr, n))
+  }
+
+  /** `numericBins` for every (numeric column, counts) of `ns`, by (column,
+    * n), from one `perColumn` aggregation: per column its min, max and the
+    * `quantiles` of the union of its counts' probabilities, NaN excluded. A
+    * quantile does not depend on which other probabilities are asked with
+    * it, and equal fractions k/n are the same double, so each n gets the
+    * bounds it would get alone. A bin's label `[lo, hi]` prints both ends
+    * with the fewest significant digits, at least 4, at which the
+    * partition's labels are distinct.
+    */
+  private def numericBinsOf(df: DataFrame, ns: Map[String, Seq[Int]]): Map[(String, Int), RowPartition] = {
+    def probs(n: Int) = (1 until n).map(_.toDouble / n)
+    val allProbs = ns.map { case (a, counts) => a -> counts.flatMap(probs).distinct }
+    val stats = perColumn(df, ns.keys.toSeq) { a =>
+      val v = when(!isnan(col(a).cast("double")), col(a).cast("double")) // NaN would be the max
+      struct(min(v) +: max(v) +: Option.when(allProbs(a).nonEmpty)(quantiles(a, allProbs(a))).toSeq: _*)
+    }(_.getStruct(_))
+    for { (a, counts) <- ns; n <- counts } yield (a, n) -> {
+      val s = stats(a)
+      // read only when n has probabilities, so the row has quantiles
+      lazy val quantile = allProbs(a).zip(s.getSeq[Double](2)).toMap
+      if (s.isNullAt(0)) byValues("numeric", df, a, None, Seq.empty) // all-null column: no set
+      else {
+        // -0.0 read as 0.0, as `quantiles` reads it: min and max return either zero at a tie
+        val edges  = ((s.getDouble(0) + 0.0) +: probs(n).map(quantile(_)) :+ (s.getDouble(1) + 0.0)).distinct.sorted
+        val labels = Iterator.from(4) // one label [lo, lo] for a single edge
+          .map(d => edges.sliding(2).map(w => s"[%.${d}g, %.${d}g]".format(w.head, w.last)).toSeq)
+          .find(ls => ls.distinct.size == ls.size).get
+        val inner = edges.slice(1, edges.size - 1) // cut points between bins
+        val v     = col(a).cast("double")
+        val expr0 = inner.zipWithIndex.foldLeft(when(v.isNull, lit(null).cast("string"))) {
+          case (acc, (cut, i)) => acc.when(v <= cut, lit(labels(i)))
+        }
+        RowPartition("numeric", a, None, df.withColumn(LabelCol, expr0.otherwise(lit(labels.last))), labels)
       }
-      RowPartition("numeric", attr, None, df.withColumn(LabelCol, expr0.otherwise(lit(labels.last))), labels)
     }
   }
 
-  /** Mine columns B with a many-to-one relationship from `attr` (§3.5):
-    * (1) A functionally determines B and (2) B's partition is strictly
-    * coarser. Candidates are pre-filtered to ≤ `MaxLabelValues` distinct
-    * values so the resulting explanation stays readable; FD checks for all
-    * candidates run in a single aggregation pass.
+  /** The columns of `bs(a)` each target `a` functionally determines: at
+    * most one distinct non-null value per non-null group of `a`, that is
+    * `min(B) <=> max(B)`, as both ignore nulls. One `groupingSets` pass (a
+    * set per target, grouped as `groupBy(a)` groups NaN and ±0.0) per 64
+    * targets, a grouping's limit, tests every B. A target is null in the
+    * rows of the other targets' sets, so a row whose targets are all null is
+    * its own target's null group.
     */
-  def manyToOneTargets(df: DataFrame, attr: String): Seq[String] =
-    manyToOneTargets(df, attr, profile(df))
-
-  private def manyToOneTargets(df: DataFrame, attr: String, prof: Profile): Seq[String] = {
-    val cardA = prof(attr)
-    val pre = df.columns.toSeq.filter { c =>
-      c != attr && c != LabelCol && prof(c) > 1 && prof(c) < cardA && prof(c) <= MaxLabelValues
-    }
-    functionallyDetermined(df, attr, pre)
-  }
-
-  /** The columns of `bs` that `attr` functionally determines: within every
-    * non-null group of `attr`, at most one distinct non-null value. Both
-    * `min` and `max` ignore nulls, so `min(B) <=> max(B)` holds exactly when
-    * `countDistinct(B) ≤ 1`; one `groupBy(attr)` pass tests every B.
-    */
-  private[core] def functionallyDetermined(df: DataFrame, attr: String, bs: Seq[String]): Seq[String] =
-    if (bs.isEmpty) Seq.empty
-    else {
-      val flags = bs.indices.map(i => s"__fd$i")
-      val perGroup = bs.zip(flags).map { case (b, f) => (min(col(b)) <=> max(col(b))).as(f) }
-      val all = df.where(col(attr).isNotNull).groupBy(col(attr))
+  private[core] def determined(df: DataFrame, bs: Map[String, Seq[String]]): Map[String, Seq[String]] =
+    bs ++ bs.filter(_._2.nonEmpty).keys.toSeq.grouped(64).flatMap { targets =>
+      val cols  = targets.flatMap(bs).distinct
+      val flags = cols.indices.map(j => s"__fd$j")
+      val perGroup = cols.zip(flags).map { case (b, f) => (min(col(b)) <=> max(col(b))).as(f) }
+      // the index of the target whose set a row belongs to
+      val target = coalesce(targets.indices.map(i => when(col(targets(i)).isNotNull, lit(i))): _*)
+      val all = df.groupingSets(targets.map(a => Seq(col(a))), targets.map(col): _*)
         .agg(perGroup.head, perGroup.tail: _*)
-        .select(flags.map(f => min(f)): _*)
-        .head()
-      bs.zipWithIndex.collect { case (b, i) if all.isNullAt(i) || all.getBoolean(i) => b }
+        .where(target.isNotNull)
+        .groupBy(target).agg(min(flags.head), flags.tail.map(min): _*)
+        .collect().map(r => r.getInt(0) -> r).toMap
+      targets.zipWithIndex.map { case (a, i) =>
+        a -> bs(a).filter(b => all.get(i).forall(_.getBoolean(1 + cols.indexOf(b))))
+      }
     }
 
   /** All applicable partitions of `df` for explaining via `attr`, for each
     * set count in `ns`: frequency, numeric binning (numeric columns whose
     * cardinality reaches n — below that, frequency already enumerates the
-    * values), and many-to-one over each mined coarser attribute B.
+    * values), and many-to-one over each mined coarser attribute B:
+    * `candidates` of one target.
     */
   def candidatesMulti(df: DataFrame, attr: String, ns: Seq[Int],
                       enableManyToOne: Boolean = true): Seq[RowPartition] =
-    candidatesMulti(df, attr, ns, if (enableManyToOne) Some(profile(df)) else None)
+    candidates(df, Seq(attr), ns, Option.when(enableManyToOne)(profile(df)))(attr)
 
-  /** `candidatesMulti` with the input's profile supplied by the caller (None
-    * disables many-to-one), so targets on one input share it.
+  /** `candidatesMulti` of every target of `attrs` on one input, from three
+    * aggregations however many targets: the `determined` pass, one
+    * `topValues` over the targets and every mined B, and one
+    * `numericBinsOf`. Many-to-one mining (§3.5) pre-filters B by the input's
+    * profile `prof` (None disables it) to `1 < |B| < |A|`, `|B| ≤ 1000`.
     */
-  private[core] def candidatesMulti(df: DataFrame, attr: String, ns: Seq[Int],
-                                    prof: Option[Profile]): Seq[RowPartition] = {
+  private[core] def candidates(df: DataFrame, attrs: Seq[String], ns: Seq[Int],
+                               prof: Option[Profile]): Map[String, Seq[RowPartition]] = {
     require(ns.forall(_ >= 1), "need at least one set")
-    if (ns.isEmpty) return Seq.empty
-    val bs  = prof.fold(Seq.empty[String])(manyToOneTargets(df, attr, _))
-    val top = topValues(df, attr +: bs, ns.max)
-    val binned = ns.filter(n => Ks.isNumeric(df, attr) && top(attr).size >= n)
-    val numeric = if (binned.isEmpty) Map.empty[Int, RowPartition]
-                  else binned.zip(numericBinsMulti(df, attr, binned)).toMap
-    ns.flatMap { n =>
-      byValues("frequency", df, attr, None, top(attr).take(n)) +:
-        (numeric.get(n).toSeq ++ bs.map(b => byValues("many-to-one", df, attr, Some(b), top(b).take(n))))
-    }
+    if (ns.isEmpty) return attrs.map(_ -> Seq.empty).toMap
+    val bs = prof.fold(Map.empty[String, Seq[String]]) { p =>
+      determined(df, attrs.map(a => a -> df.columns.toSeq.filter { c =>
+        c != a && c != LabelCol && p(c) > 1 && p(c) < p(a) && p(c) <= MaxLabelValues
+      }).toMap)
+    }.withDefaultValue(Seq.empty)
+    val top = topValues(df, (attrs ++ bs.values.flatten).distinct, ns.max)
+    val numeric = numericBinsOf(df, attrs.map(a => a -> ns.filter(n => Ks.isNumeric(df, a) && top(a).size >= n))
+      .filter(_._2.nonEmpty).toMap)
+    attrs.map { a =>
+      a -> ns.flatMap { n =>
+        byValues("frequency", df, a, None, top(a).take(n)) +:
+          (numeric.get((a, n)).toSeq ++ bs(a).map(b => byValues("many-to-one", df, a, Some(b), top(b).take(n))))
+      }
+    }.toMap
   }
 }

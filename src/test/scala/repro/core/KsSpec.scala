@@ -160,7 +160,7 @@ class KsSpec extends SparkSpec with PropChecks {
       val (a, b)  = (as.toDF("v"), bs.toDF("v"))
       val exact   = Ks.statistic(a, b, "v", maxBins = Int.MaxValue)
       val binned  = Ks.statistic(a, b, "v", maxBins)
-      val buckets = Ks.keyExpr(a, "v", maxBins).key
+      val buckets = Ks.keySpaces(a, Seq("v"), maxBins)("v").key
       // the largest share of one side's non-null rows that one bucket holds
       def largest(df: DataFrame): Double = {
         val keys = df.select(buckets(col("v"))).collect().flatMap(r => Option(r.getString(0)))
@@ -200,6 +200,7 @@ class KsSpec extends SparkSpec with PropChecks {
              } yield (a, b, 2.5, Option.empty[Double], e, s))
   } yield rows
 
+  // "keyExpr's keys": the one-column call `keySpaces(df, Seq(c), maxBins)(c)`
   test("keySpaces gives keyExpr's keys column by column, with or without known counts") {
     val cols = Seq("a", "b", "c", "d", "e", "s")
     checkProp(Prop.forAllNoShrink(keyFrames, Gen.oneOf(2, 3, 5), Gen.someOf(cols)) { (rows, maxBins, known) =>
@@ -207,7 +208,7 @@ class KsSpec extends SparkSpec with PropChecks {
       val profile = Partition.profile(df).filter { case (c, _) => known.contains(c) }
       val batched = Ks.keySpaces(df, cols, maxBins, profile)
       cols.map { c =>
-        val one = Ks.keyExpr(df, c, maxBins)
+        val one = Ks.keySpaces(df, Seq(c), maxBins)(c)
         def keys(k: Ks.KeySpace) = df.select(k.key(col(c))).collect().map(r => Option(r.getString(0))).toSeq
         val distinct = df.agg(approx_count_distinct(col(c))).head().getLong(0)
         // a bucketised column's keys follow approxQuantile's boundaries

@@ -112,6 +112,17 @@ class PartitionSpec extends SparkSpec with PropChecks {
     assert(!reads.head.flatten.exists(_.contains("-0.0")), reads.head)
   }
 
+  test("numericBins: labels take more digits where 4 significant digits collide") {
+    // at %.4g the edges 10001, 10002, 10004 all print as 1.000e+04
+    val df = (10001 to 10009).map(_.toDouble).toDF("v")
+    val p  = Partition.numericBins(df, "v", 5)
+    assert(p.sets.size === 5)
+    assert(p.sets.distinct === p.sets, p.sets)
+    assert(p.sets === refBins(df, "v", 5))
+    val counts = p.sets.map(s => p.labeled.where(col(Partition.LabelCol) === s).count())
+    assert(counts.forall(_ > 0) && counts.sum === 9, counts)
+  }
+
   test("numericBins rejects non-numeric columns") {
     intercept[IllegalArgumentException] {
       Partition.numericBins(songs, "decade", 3)
@@ -126,34 +137,38 @@ class PartitionSpec extends SparkSpec with PropChecks {
 
   // ------------------------------------------------------------ many-to-one
 
+  /** The coarser attributes B that `candidates` mines for `attr`. */
+  private def manyToOneTargets(df: DataFrame, attr: String): Seq[String] =
+    Partition.candidates(df, Seq(attr), Seq(1), Some(Partition.profile(df)))(attr).flatMap(_.via)
+
   test("manyToOneTargets: year → decade is detected") {
-    assert(Partition.manyToOneTargets(songs, "year").contains("decade"))
+    assert(manyToOneTargets(songs, "year").contains("decade"))
   }
 
   test("manyToOneTargets: decade → year is NOT a many-to-one target (finer, violates FD)") {
-    assert(!Partition.manyToOneTargets(songs, "decade").contains("year"))
+    assert(!manyToOneTargets(songs, "decade").contains("year"))
   }
 
   test("manyToOneTargets: non-functionally-determined columns are rejected") {
     // genre is not determined by year's decade nor vice versa in this data
-    assert(!Partition.manyToOneTargets(songs, "year").contains("genre"))
+    assert(!manyToOneTargets(songs, "year").contains("genre"))
   }
 
   test("manyToOneTargets: condition 2 — constant columns (single value) are rejected") {
     val df = songs.withColumn("const", lit("x"))
-    assert(!Partition.manyToOneTargets(df, "year").contains("const"))
+    assert(!manyToOneTargets(df, "year").contains("const"))
   }
 
   test("manyToOneTargets: equal-cardinality bijections are rejected (not strictly coarser)") {
     val df = songs.withColumn("year_copy", col("year") + 10000)
-    assert(!Partition.manyToOneTargets(df, "year").contains("year_copy"))
+    assert(!manyToOneTargets(df, "year").contains("year_copy"))
   }
 
   test("manyToOneTargets: maxLabelValues prunes high-cardinality targets") {
     // a determines both b (1,500 values) and c (10): b passes every test but
     // the 1,000-value cap
     val df = spark.range(3000).selectExpr("id as a", "id div 2 as b", "id % 10 as c")
-    assert(Partition.manyToOneTargets(df, "a") === Seq("c"))
+    assert(manyToOneTargets(df, "a") === Seq("c"))
   }
 
   private def manyToOne(df: DataFrame, attr: String, n: Int): Seq[RowPartition] =
@@ -212,7 +227,8 @@ class PartitionSpec extends SparkSpec with PropChecks {
       .limit(n).collect().map(_.getString(0)).toSeq
 
   /** Reference numeric bin labels: a quantile pass for this n alone, with
-    * -0.0 read as 0.0.
+    * -0.0 read as 0.0, printed at the least precision (4 significant digits
+    * or more) that keeps the labels distinct.
     */
   private def refBins(df: DataFrame, attr: String, n: Int): Seq[String] = {
     val named  = df.select(col(attr).cast("double").as("__v")).na.drop()
@@ -224,23 +240,30 @@ class PartitionSpec extends SparkSpec with PropChecks {
     else {
       val lo = ext.getDouble(0) + 0.0; val hi = ext.getDouble(1) + 0.0
       val edges = (lo +: bounds.toSeq :+ hi).distinct.sorted
+      def fmt(x: Double, digits: Int) = s"%.${digits}g".format(x)
       if (edges.size < 2) Seq(f"[$lo%.4g, $hi%.4g]")
-      else edges.sliding(2).map(w => f"[${w.head}%.4g, ${w.last}%.4g]").toSeq
+      else (4 to 17).map(d => edges.sliding(2).map(w => s"[${fmt(w.head, d)}, ${fmt(w.last, d)}]").toSeq)
+        .find(ls => ls.toSet.size == ls.size).get
     }
   }
 
   /** Reference FD test: collect countDistinct(B) for every group of A. */
   private def refDetermined(df: DataFrame, attr: String, bs: Seq[String]): Seq[String] =
-    bs.filter { b =>
-      df.where(col(attr).isNotNull).groupBy(col(attr)).agg(countDistinct(col(b)))
-        .collect().forall(_.getLong(1) <= 1)
+    if (bs.isEmpty) Seq.empty
+    else {
+      val counts = bs.map(b => countDistinct(col(b)))
+      val groups = df.where(col(attr).isNotNull).groupBy(col(attr)).agg(counts.head, counts.tail: _*).collect()
+      bs.indices.collect { case j if groups.forall(_.getLong(1 + j) <= 1) => bs(j) }
     }
 
-  /** Per-n reference for `candidatesMulti`: the public per-n functions plus
-    * `frequency(B)` for each mined B.
+  /** Per-n reference for `candidates`: the public per-n functions plus
+    * `frequency(B)` for each B that passes the profile pre-filter
+    * (`1 < |B| < |A|`, `|B| ≤ 1000`) and `refDetermined`.
     */
-  private def perN(df: DataFrame, attr: String, ns: Seq[Int]): Seq[RowPartition] = {
-    val bs = Partition.manyToOneTargets(df, attr)
+  private def perN(df: DataFrame, attr: String, ns: Seq[Int], prof: Partition.Profile): Seq[RowPartition] = {
+    val bs = refDetermined(df, attr, df.columns.toSeq.filter { c =>
+      c != attr && prof(c) > 1 && prof(c) < prof(attr) && prof(c) <= 1000
+    })
     ns.flatMap { n =>
       val freq = Partition.frequency(df, attr, n)
       val numeric =
@@ -288,25 +311,60 @@ class PartitionSpec extends SparkSpec with PropChecks {
 
   private def frame(rows: Seq[FuzzRow]): DataFrame = rows.toDF(fuzzCols: _*)
 
+  /** A random non-empty subset of the fuzz columns, as one input's targets. */
+  private val targetSets: Gen[Seq[String]] = Gen.atLeastOne(fuzzCols).map(_.toSeq)
+
   test("candidatesMulti equals the per-n partitions on random frames") {
-    checkProp(Prop.forAllNoShrink(fuzzFrames, Gen.oneOf(fuzzCols)) { (rows, attr) =>
+    checkProp(Prop.forAllNoShrink(fuzzFrames, targetSets) { (rows, targets) =>
       val df   = frame(rows)
       val ns   = Seq(5, 10)
-      val refs = ns.flatMap(n => Seq(
-        Partition.frequency(df, attr, n).sets == refTop(df, attr, n),
-        !Ks.isNumeric(df, attr) || Partition.numericBins(df, attr, n).sets == refBins(df, attr, n)))
-      Prop(refs.forall(identity)) :| "per-n functions match the one-query reference" &&
-        Prop(samePartitions(Partition.candidatesMulti(df, attr, ns), perN(df, attr, ns))) :|
-          s"candidatesMulti($attr) matches per-n partitions"
+      val prof = Partition.profile(df)
+      val all  = Partition.candidates(df, targets, ns, Some(prof))
+      targets.map { attr =>
+        val refs = ns.flatMap(n => Seq(
+          Partition.frequency(df, attr, n).sets == refTop(df, attr, n),
+          !Ks.isNumeric(df, attr) || Partition.numericBins(df, attr, n).sets == refBins(df, attr, n)))
+        Prop(refs.forall(identity)) :| s"$attr: per-n functions match the one-query reference" &&
+          Prop(samePartitions(all(attr), perN(df, attr, ns, prof))) :|
+            s"candidates(${targets.mkString(", ")})($attr) matches per-n partitions"
+      }.reduce(_ && _) &&
+        Prop(samePartitions(Partition.candidatesMulti(df, targets.head, ns), all(targets.head))) :|
+          s"candidatesMulti(${targets.head}) is its one-target case"
     }, minTests = 20)
   }
 
   test("the min/max FD test equals countDistinct per group on random frames") {
-    checkProp(Prop.forAllNoShrink(fuzzFrames, Gen.oneOf(fuzzCols)) { (rows, attr) =>
-      val df = frame(rows)
-      val bs = fuzzCols.filterNot(_ == attr)
-      Prop(Partition.functionallyDetermined(df, attr, bs) == refDetermined(df, attr, bs)) :| attr
+    checkProp(Prop.forAllNoShrink(fuzzFrames, targetSets) { (rows, targets) =>
+      val df  = frame(rows)
+      val bs  = targets.map(a => a -> fuzzCols.filterNot(_ == a)).toMap
+      val got = Partition.determined(df, bs)
+      targets.map(a => Prop(got(a) == refDetermined(df, a, bs(a))) :| s"$a among ${targets.mkString(", ")}")
+        .reduce(_ && _)
     }, minTests = 20)
+  }
+
+  test("the FD pass splits more than 64 targets of one input") {
+    // a<m> = id % m for m in 2..71: a<m> determines a<j> exactly when j divides m
+    val ms = 2 to 71
+    val df = spark.range(200).selectExpr(ms.map(m => s"id % $m as a$m"): _*)
+    val got = Partition.determined(df, ms.map(m => s"a$m" -> ms.filter(_ < m).map(j => s"a$j")).toMap)
+    ms.foreach(m => assert(got(s"a$m") === ms.filter(j => j < m && m % j == 0).map(j => s"a$j"), s"a$m"))
+    val prof  = Partition.profile(df)
+    val built = Partition.candidates(df, ms.map(m => s"a$m"), Seq(5), Some(prof))
+    ms.foreach { m =>
+      val mined = got(s"a$m").filter(b => prof(b) < prof(s"a$m"))
+      assert(built(s"a$m").flatMap(_.via) === mined, s"a$m")
+    }
+  }
+
+  test("candidates over three targets of one input runs as many Spark jobs as over one") {
+    // every target is numeric with 10+ values and determines the columns after it
+    val df   = spark.range(300).selectExpr("id as a", "id % 50 as b", "id % 25 as c", "id % 5 as d")
+    val prof = Partition.profile(df)
+    val (one, three) = (sparkJobs(Partition.candidates(df, Seq("a"), Seq(5, 10), Some(prof))),
+      sparkJobs(Partition.candidates(df, Seq("a", "b", "c"), Seq(5, 10), Some(prof))))
+    assert(one > 0)
+    assert(one === three)
   }
 
   test("numeric bins from one shared quantile pass equal one pass per n") {
