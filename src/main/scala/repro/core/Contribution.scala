@@ -71,15 +71,17 @@ object Contribution {
   /** Contributions of every partition of `parts` (all on input `labeledIdx`)
     * to each column of `attrs` the measure applies to, as (column, partition,
     * result), column by column: one query in all for either measure. `keyOf`
-    * gives the KS key space of an (input, column).
+    * gives the KS key space of an (input, column). `Interestingness.scores`
+    * passes one partition whose labels are all null and reads each `full`.
     */
   def ofTarget(step: Step, attrs: Seq[String], parts: Seq[RowPartition], labeledIdx: Int,
-               keyOf: ((Int, String)) => Ks.KeySpace): Seq[(String, RowPartition, ContributionResult)] =
-    step.op match {
-      case g: GroupByOp => diversity(step, g, attrs, parts)
-      case _ => exceptionality(step, attrs, parts.map(_.labeled), labeledIdx, keyOf)
-        .map { case (a, f, r) => (a, parts(f), r) }
-    }
+               keyOf: ((Int, String)) => Ks.KeySpace): Seq[(String, RowPartition, ContributionResult)] = {
+    val frames = parts.map(_.labeled)
+    (step.op match {
+      case g: GroupByOp => diversity(step, g, attrs, frames)
+      case _ => exceptionality(step, attrs, frames, labeledIdx, keyOf)
+    }).map { case (a, f, r) => (a, parts(f), r) }
+  }
 
   /** One aggregation over the union of `frames`, grouped by `by`, whose
     * first column is an int index. Collected once and split by that index;
@@ -100,9 +102,7 @@ object Contribution {
     * output), for the full data and for every exclusion; C = I_full − I_excl.
     * Returns (column, frame index, result) for every column of `attrs` with a
     * source and every frame of `labeled`, column by column. Each frame takes
-    * the place of input `labeledIdx` and carries the set labels;
-    * `Interestingness.scores` passes one frame whose labels are all null and
-    * reads each column's `full`.
+    * the place of input `labeledIdx` and carries the set labels.
     *
     * One aggregation counts rows per (comparison, set, key) on the input and
     * on the output side. Each (frame, column, source) comparison has an int
@@ -194,41 +194,43 @@ object Contribution {
   private final case class Cell(set: Option[String], rows: Long, n: Long, sum: Double,
                                 min: Option[Double], max: Option[Double])
 
-  /** Group-by: I = CV of the group values of a column (Eq. 2); C = I_full − I_excl.
-    * One aggregation gives a row per (partition, group, set) with the partials of
-    * each explained column, read into `Cell`s from which any exclusion's group
-    * values follow: count, sum and mean exactly, min and max as the sets partition the rows.
+  /** Group-by: I = CV of the group values of a numeric output column (Eq. 2);
+    * C = I_full − I_excl. Returns (column, frame index, result) for every
+    * numeric column of `attrs` and every frame of `labeled`, column by
+    * column. One aggregation gives a row per (frame, group, set) with the
+    * partials of each explained column, read into `Cell`s from which any
+    * exclusion's group values follow: count, sum and mean exactly, min and
+    * max as the sets partition the rows.
     */
   private def diversity(step: Step, g: GroupByOp, attrs: Seq[String],
-                        parts: Seq[RowPartition]): Seq[(String, RowPartition, ContributionResult)] = {
+                        labeled: Seq[DataFrame]): Seq[(String, Int, ContributionResult)] = {
     // a numeric key is its own min and max, so it is explained as max
     val specs = attrs.flatMap { a =>
-      (if (g.keys.contains(a)) Option.when(Ks.isNumeric(step.inputs.head, a))(AggSpec("max", a, a))
-       else g.aggs.find(_.alias == a)).map(a -> _)
+      (if (g.keys.contains(a)) Some(AggSpec("max", a, a)) else g.aggs.find(_.alias == a))
+        .filter(_ => Ks.isNumeric(step.output, a)).map(a -> _)
     }
-    if (specs.isEmpty || parts.isEmpty) return Seq.empty
+    if (specs.isEmpty || labeled.isEmpty) return Seq.empty
     val srcCols = specs.map(_._2.column).filter(_ != "*").distinct
     val aggExprs = count(lit(1)) +: srcCols.flatMap { c =>
       val v = col(c).cast("double")
       Seq(sum(v), count(col(c)), max(v), min(v))
     }
-    // each row: the partition, the keys, the set, the row count, then sum,
+    // each row: the frame, the keys, the set, the row count, then sum,
     // count, max, min per explained source column
-    val rows = byIndex(parts.zipWithIndex.map { case (p, i) => p.labeled.withColumn("__p", lit(i)) },
+    val rows = byIndex(labeled.zipWithIndex.map { case (df, f) => df.withColumn("__p", lit(f)) },
       "__p" +: g.keys :+ LabelCol, aggExprs)
-    val rowsOf = parts.zipWithIndex.map { case (p, i) => (p, rows.getOrElse(i, Seq.empty)) }
     val nk = g.keys.size
     def num(r: Row, i: Int) = Option.when(!r.isNullAt(i))(r.getAs[Number](i).doubleValue)
-    for { (a, AggSpec(func, column, _)) <- specs; (p, rows) <- rowsOf } yield {
+    for { (a, AggSpec(func, column, _)) <- specs; f <- labeled.indices } yield {
       val at = nk + 3 + 4 * srcCols.indexOf(column)
-      val groups: Seq[Seq[Cell]] = rows.map { r =>
+      val groups: Seq[Seq[Cell]] = rows.getOrElse(f, Seq.empty).map { r =>
         val (set, n) = (Option(r.getString(nk + 1)), r.getLong(nk + 2))
         val cell =
           if (column == "*") Cell(set, n, n, 0.0, None, None)
           else Cell(set, n, r.getLong(at + 1), num(r, at).getOrElse(0.0), num(r, at + 3), num(r, at + 2))
         (1 to nk).map(i => Option(r.get(i)).map(_.toString)) -> cell
       }.groupMap(_._1)(_._2).values.toSeq
-      (a, p, scoreGroups(groups, func))
+      (a, f, scoreGroups(groups, func))
     }
   }
 

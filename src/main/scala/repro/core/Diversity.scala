@@ -29,17 +29,14 @@ object Diversity {
     (n, mean, if (n < 2) 0.0 else math.sqrt(ss / (n - 1)))
   }
 
-  /** CV of a dataframe column's finite values: `cvs` of that column alone. */
-  def cv(df: DataFrame, column: String): Double = cvs(df, Seq(column))(column)
-
-  /** `cv` of every column of `columns`, from one aggregation of the mean,
-    * sample deviation and count of each column's finite values.
+  /** CV of a dataframe column's finite values, from one aggregation of
+    * their mean, sample deviation and count: the reference behind
+    * `Interestingness.score`.
     */
-  def cvs(df: DataFrame, columns: Seq[String]): Map[String, Double] =
-    Partition.perColumn(df, columns) { c =>
-      val v = col(c).cast("double")
-      val finite = when(!isnan(v) && abs(v) =!= Double.PositiveInfinity, v)
-      val (m, s) = (avg(finite), stddev_samp(finite))
-      when(count(finite) >= 2 && m =!= 0.0 && !isnan(s), s / abs(m)).otherwise(0.0)
-    }(_.getDouble(_))
+  def cv(df: DataFrame, column: String): Double = {
+    val v = col(column).cast("double")
+    val finite = when(!isnan(v) && abs(v) =!= Double.PositiveInfinity, v)
+    val (m, s) = (avg(finite), stddev_samp(finite))
+    df.select(when(count(finite) >= 2 && m =!= 0.0 && !isnan(s), s / abs(m)).otherwise(0.0)).head().getDouble(0)
+  }
 }

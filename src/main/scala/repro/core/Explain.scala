@@ -88,8 +88,8 @@ object Fedex {
     val measure = if (step.op.kind == "groupby") "diversity" else "exceptionality"
 
     // Everything below runs on one pool as composed futures, so no pool
-    // thread waits on another: each input's profile and the full inputs' KS
-    // key spaces while the columns are scored, then each input's
+    // thread waits on another: each input's profile, then the full inputs'
+    // KS key spaces, in which the columns are scored, then each input's
     // partitions, then each target's contributions as soon as they are built.
     val (columnScores, scored) = withPool { implicit ec =>
       val attrs = cfg.userColumns.getOrElse {
@@ -101,12 +101,16 @@ object Fedex {
       // the distinct counts of its key spaces.
       val profiles = step.inputs.map(in => Future(Partition.profile(in)))
       // The full inputs' key spaces, once per (input, column): read by the
-      // exact interestingness and by every contribution query.
-      val fullKeys: Future[Interestingness.KeySpaces] =
-        Future.sequence(profiles).map(Interestingness.keySpaces(step, step.inputs, attrs, cfg.maxBins, _))
+      // interestingness, sampled or not, and by every contribution query.
+      // They wait only for the profiles of inputs with source columns (none
+      // for group-by), so a group-by is scored while its profile runs.
+      val sourced = attrs.flatMap(step.sources).map(_._1).toSet
+      val fullKeys: Future[Interestingness.KeySpaces] = Future.traverse(profiles.zipWithIndex) { case (p, i) =>
+        if (sourced(i)) p else Future.successful(Map.empty[String, Long])
+      }.map(Interestingness.keySpaces(step, attrs, cfg.maxBins, _))
 
       // Lines 1-2 (+ sampling optimization): per-column interestingness.
-      val columnScores = Interestingness.scores(step, attrs, cfg.maxBins, cfg.sampleRows, cfg.seed,
+      val columnScores = Interestingness.scores(step, attrs, cfg.sampleRows, cfg.seed,
         Await.result(fullKeys, Duration.Inf))
       val topCols = columnScores.toSeq.sortBy { case (a, s) => (-s, a) }
         .take(cfg.topKColumns).map(_._1)

@@ -50,54 +50,40 @@ object Interestingness {
         }.maxOption
     }
 
-  /** Scores for every output attribute of the step, as `score` gives them.
-    * With `sampleRows` set, implements FEDEX-SAMPLING: inputs are uniformly
-    * sampled, the operation is re-applied to the sample, and scores are
-    * computed on the sampled pair, with KS key spaces taken from the sample.
-    * Each measure scores every column in one aggregation.
+  /** Scores for every output attribute of the step, as `score` gives them,
+    * in the full inputs' KS key spaces. With `sampleRows` set, implements
+    * FEDEX-SAMPLING: inputs are uniformly sampled, the operation is
+    * re-applied to the sample, and scores are computed on the sampled pair.
     */
   def scores(step: Step, attrs: Seq[String], maxBins: Int = Ks.MaxBins,
              sampleRows: Option[Long] = None, seed: Long = Sampling.Seed): Map[String, Double] =
-    scores(step, attrs, maxBins, sampleRows, seed, keySpaces(step, step.inputs, attrs, maxBins, Seq.empty))
+    scores(step, attrs, sampleRows, seed, keySpaces(step, attrs, maxBins, Seq.empty))
 
-  /** `scores`, reading the full inputs' key spaces from `fullKeys` when it
-    * scores the full data. Exceptionality is the `full` of
-    * `Contribution.exceptionality` over one frame whose labels are all null,
-    * so a column's I and its contributions come from one counting query.
+  /** `scores` in the key spaces `keys`. A column's I is the `full` of its
+    * contributions (Def. 3.3) over the partition whose only set is the
+    * ignore-set, so I and its contributions come from one query.
     */
-  private[core] def scores(step: Step, attrs: Seq[String], maxBins: Int, sampleRows: Option[Long],
-                           seed: Long, fullKeys: => KeySpaces): Map[String, Double] = {
+  private[core] def scores(step: Step, attrs: Seq[String], sampleRows: Option[Long], seed: Long,
+                           keys: KeySpaces): Map[String, Double] = {
     val sampled = sampleRows.map(k => step.inputs.map(Sampling.uniform(_, k, seed)))
     // Only frames this call drew are cached and unpersisted: an input within
     // the cap comes back as the caller's own frame.
     val drawn = sampled.toSeq.flatMap(_.zip(step.inputs).collect { case (s, in) if s ne in => s })
     val ins   = if (drawn.isEmpty) step.inputs else sampled.get
-    val cols  = attrs.distinct.filterNot(_ == LabelCol)
+    val whole = RowPartition("none", "", None, ins.head.withColumn(LabelCol, lit(null).cast("string")), Seq.empty)
     drawn.foreach(_.cache())
-    try step.op match {
-      case _: GroupByOp =>
-        val out = if (drawn.isEmpty) step.output else step.reapply(ins)
-        Diversity.cvs(out, cols.filter(Ks.isNumeric(out, _)))
-      case _ =>
-        val keys = if (drawn.isEmpty) fullKeys else keySpaces(step, ins, cols, maxBins, Seq.empty)
-        val unlabeled = ins.head.withColumn(LabelCol, lit(null).cast("string"))
-        Contribution.exceptionality(Step(ins, step.op), cols, Seq(unlabeled), 0, keys)
-          .map { case (a, _, r) => a -> r.full }.toMap
-    } finally drawn.foreach(_.unpersist())
+    try Contribution.ofTarget(Step(ins, step.op), attrs.distinct.filterNot(_ == LabelCol), Seq(whole), 0, keys)
+      .map { case (a, _, r) => a -> r.full }.toMap
+    finally drawn.foreach(_.unpersist())
   }
 
-  /** The input columns whose KS key spaces scoring `attrs` reads, by input:
-    * the sources of every attribute (none for group-by).
+  /** The key space of every source column of `attrs` (none for group-by),
+    * read from the full inputs, one `Ks.keySpaces` per input; `known` holds
+    * the inputs' profiles, if any.
     */
-  private def keyColumns(step: Step, attrs: Seq[String]): Map[Int, Seq[String]] =
-    attrs.filterNot(_ == LabelCol).flatMap(step.sources).distinct.groupMap(_._1)(_._2)
-
-  /** The key space of every column `keyColumns` names, read from `ins`, one
-    * `Ks.keySpaces` per input; `known` holds the inputs' profiles, if any.
-    */
-  private[core] def keySpaces(step: Step, ins: Seq[DataFrame], attrs: Seq[String], maxBins: Int,
+  private[core] def keySpaces(step: Step, attrs: Seq[String], maxBins: Int,
                               known: Seq[Partition.Profile]): KeySpaces =
-    keyColumns(step, attrs).flatMap { case (i, cols) =>
-      Ks.keySpaces(ins(i), cols, maxBins, known.lift(i).getOrElse(Map.empty)).map { case (c, k) => (i, c) -> k }
+    attrs.filterNot(_ == LabelCol).flatMap(step.sources).distinct.groupMap(_._1)(_._2).flatMap { case (i, cols) =>
+      Ks.keySpaces(step.inputs(i), cols, maxBins, known.lift(i).getOrElse(Map.empty)).map { case (c, k) => (i, c) -> k }
     }
 }

@@ -12,8 +12,8 @@ import repro.data.{DataScale, Frames, Queries}
   * the explanations.
   *
   * Cases, at `DataScale.Test` on `local[4]` with 8 shuffle partitions: q11
-  * sampled (500 rows) and exact, q21 and q1 exact, a union of two Bank
-  * subsets, and q6 under `crossColumns`.
+  * sampled (500 rows) and exact, q21 exact and sampled (500 rows), q1
+  * exact, a union of two Bank subsets, and q6 under `crossColumns`.
   *
   * Run with `sbt "Test/runMain repro.ParityDump"`.
   */
@@ -33,6 +33,7 @@ object ParityDump {
         ("q11 sampled 500", query(11), FedexConfig(sampleRows = Some(500L))),
         ("q11 exact", query(11), FedexConfig()),
         ("q21 exact", query(21), FedexConfig()),
+        ("q21 sampled 500", query(21), FedexConfig(sampleRows = Some(500L))),
         ("q1 exact", query(1), FedexConfig()),
         ("bank union exact", union, FedexConfig()),
         ("q6 crossColumns", query(6), FedexConfig(crossColumns = true))

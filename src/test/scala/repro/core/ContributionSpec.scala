@@ -284,7 +284,7 @@ class ContributionSpec extends SparkSpec with PropChecks {
         methods ++= parts.map(_.method)
         // every column with a source shares the one query
         val attrs   = c.step.outputAttrs.filter(c.step.sources(_).nonEmpty)
-        val keys    = Interestingness.keySpaces(c.step, c.step.inputs, attrs, Ks.MaxBins, Seq.empty)
+        val keys    = Interestingness.keySpaces(c.step, attrs, Ks.MaxBins, Seq.empty)
         val batched = Contribution.ofTarget(c.step, attrs, parts, c.idx, keys).collect { case (c.attr, _, r) => r }
         val single  = parts.map(Contribution.all(c.step, c.attr, _, c.idx).get)
         // frequency partitions are checked against exact by the test above
@@ -307,7 +307,7 @@ class ContributionSpec extends SparkSpec with PropChecks {
       cs.map { c =>
         val attrs  = c.step.outputAttrs
         val parts  = Partition.candidatesMulti(c.step.inputs(c.idx), c.partitionOn, Seq(2), enableManyToOne = true)
-        val keys   = Interestingness.keySpaces(c.step, c.step.inputs, attrs, maxBins, Seq.empty)
+        val keys   = Interestingness.keySpaces(c.step, attrs, maxBins, Seq.empty)
         val scores = Interestingness.scores(c.step, attrs, maxBins)
         val wrong  = Contribution.ofTarget(c.step, attrs, parts, c.idx, keys).collect {
           case (a, p, r) if !scores.get(a).exists(i => java.lang.Double.compare(i, r.full) == 0) =>
@@ -322,7 +322,7 @@ class ContributionSpec extends SparkSpec with PropChecks {
     val step  = Step(Seq(planted), FilterOp("value > 60"))
     val parts = Seq(2, 3).map(Partition.frequency(planted, "category", _))
     val attrs = Seq("category", "decade", "value")
-    val keys  = Interestingness.keySpaces(step, step.inputs, attrs, Ks.MaxBins, Seq.empty)
+    val keys  = Interestingness.keySpaces(step, attrs, Ks.MaxBins, Seq.empty)
     planted.count() // cache the input before counting
     val (one, three) = (sparkJobs(Contribution.ofTarget(step, attrs.take(1), parts, 0, keys)),
       sparkJobs(Contribution.ofTarget(step, attrs, parts, 0, keys)))
@@ -439,6 +439,32 @@ class ContributionSpec extends SparkSpec with PropChecks {
         Prop(wrongC.isEmpty) :| s"$name: ${wrongC.mkString("; ")}"
     }, minTests = 6)
     assert(methods === Set("frequency", "numeric", "many-to-one"))
+  }
+
+  test("group-by: each ofTarget result's full is Interestingness.scores' I, to 1e-9") {
+    // not bit for bit: partial sums split by set round otherwise than whole groups'
+    val keySets = Gen.oneOf(Seq("g"), Seq("k"), Seq("g", "k"))
+    checkProp(Prop.forAllNoShrink(groupFrames, keySets, Gen.oneOf(true, false), Gen.oneOf(2, 3)) {
+      (rows, keys, onKey, n) =>
+        val din     = rows.toDF("g", "k", "v", "p")
+        val step    = Step(Seq(din), GroupByOp(keys, groupAggs))
+        val name    = s"group by ${keys.mkString(",")}, $n sets on ${if (onKey) keys.last else "p"}"
+        val parts   = Partition.candidatesMulti(din, if (onKey) keys.last else "p", Seq(n), enableManyToOne = true)
+        val scores  = Interestingness.scores(step, step.outputAttrs)
+        val results = Contribution.ofTarget(step, step.outputAttrs, parts, 0, Map.empty)
+        val wrong   = results.collect { case (a, p, r) if !scores.get(a).exists(i => math.abs(i - r.full) < 1e-9) =>
+          s"$a over ${p.method} ${p.labelAttr}: full ${r.full}, I ${scores.get(a)}" }
+        Prop(results.map(_._1).toSet == scores.keySet) :|
+          s"$name: columns ${results.map(_._1).toSet} != ${scores.keySet}" &&
+          Prop(wrong.isEmpty) :| s"$name: ${wrong.mkString("; ")}"
+    }, minTests = 6)
+  }
+
+  test("group-by: a max of a string column has no diversity, so no contribution") {
+    val din  = Seq(("x", "1"), ("x", "5"), ("y", "9"), ("z", "2")).toDF("g", "s")
+    val step = Step(Seq(din), GroupByOp(Seq("g"), Seq(AggSpec("max", "s", "max_s"))))
+    assert(Interestingness.score(step, "max_s") === None)
+    assert(Contribution.all(step, "max_s", freqPartitionOn(din, "g", 2)) === None)
   }
 
   // --------------------------------------------------------- standardized

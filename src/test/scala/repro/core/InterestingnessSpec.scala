@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{PropChecks, SparkSpec}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import org.scalacheck.{Gen, Prop}
 
@@ -165,15 +166,30 @@ class InterestingnessSpec extends SparkSpec with PropChecks {
       "group by c, k" -> Step(Seq(f1), GroupByOp(Seq("c", "k"), aggs)))
   }
 
-  /** `scores` against `score` per column, on `step` or, with `sampleRows`,
-    * on the sampled step (`Sampling.uniform` is deterministic in its seed).
+  /** `scores` against a per-column reference: `score` on `step`, or, with
+    * `sampleRows`, on the sampled step (`Sampling.uniform` is deterministic
+    * in its seed), where each exceptionality source is counted by its own
+    * `groupBy` in the full input's KS key space, as FEDEX-SAMPLING keys it.
     */
   private def checkScores(name: String, step: Step, maxBins: Int, sampleRows: Option[Long]): Prop = {
     val attrs   = step.outputAttrs
     val batched = Interestingness.scores(step, attrs, maxBins, sampleRows, seed = 3)
-    val ref: Seq[DataFrame] = sampleRows.fold(step.inputs)(k => step.inputs.map(Sampling.uniform(_, k, 3).cache()))
-    val perColumn = attrs.flatMap(a => Interestingness.score(Step(ref, step.op), a, maxBins).map(a -> _)).toMap
-    ref.foreach(_.unpersist())
+    // checkpointed, not cached: `where` over a cached frame skips a batch whose
+    // only values above the bound are NaN (Spark's in-memory batch pruning)
+    val ref: Seq[DataFrame] =
+      sampleRows.fold(step.inputs)(k => step.inputs.map(Sampling.uniform(_, k, 3).localCheckpoint()))
+    val sampled = Step(ref, step.op)
+    def ks(attr: String, i: Int, c: String): Double = {
+      val Ks.KeySpace(key, numeric) = Ks.keySpaces(step.inputs(i), Seq(c), maxBins)(c)
+      def counts(df: DataFrame, column: String) = df.groupBy(key(col(column)).as("k")).count()
+        .where(col("k").isNotNull).collect().map(r => r.getString(0) -> r.getLong(1)).toSeq
+      Ks.fromCounts(counts(ref(i), c), counts(sampled.output, attr), numeric)
+    }
+    val perColumn = attrs.flatMap { a =>
+      val sources = step.sources(a)
+      (if (sampleRows.isEmpty || sources.isEmpty) Interestingness.score(sampled, a, maxBins)
+       else sources.map { case (i, c) => ks(a, i, c) }.maxOption).map(a -> _)
+    }.toMap
     val wrong = perColumn.collect { case (a, s) if !batched.get(a).exists(b => math.abs(b - s) < 1e-12) =>
       s"$a: batched ${batched.get(a)}, per column $s" }
     Prop(batched.keySet == perColumn.keySet) :| s"$name: columns ${batched.keySet} != ${perColumn.keySet}" &&

@@ -200,7 +200,9 @@ class KsSpec extends SparkSpec with PropChecks {
              } yield (a, b, 2.5, Option.empty[Double], e, s))
   } yield rows
 
-  // "keyExpr's keys": the one-column call `keySpaces(df, Seq(c), maxBins)(c)`
+  // "keyExpr's keys" names the one-column key space, `keySpaces(df, Seq(c),
+  // maxBins)(c)`, the rule the deleted `Ks.keyExpr` applied; approxQuantile's
+  // buckets are the independent reference
   test("keySpaces gives keyExpr's keys column by column, with or without known counts") {
     val cols = Seq("a", "b", "c", "d", "e", "s")
     checkProp(Prop.forAllNoShrink(keyFrames, Gen.oneOf(2, 3, 5), Gen.someOf(cols)) { (rows, maxBins, known) =>
